@@ -4,8 +4,8 @@ invariant that separates algebras the cohomology cannot."""
 
 from .ag import (AGComparison, AGInvariant, ag_invariant, compare_ag,
                  hh_dims_ladkani, psi)
-from .cochain import (CochainComplex, FieldSpec, build_complex,
-                      hh_dims_oracle, verify_complex_property)
+from .cochain import (CochainComplex, build_complex, hh_dims_oracle,
+                      verify_complex_property)
 from .corpus import (Fixture, FixtureCorrupt, builtin_fixtures,
                      fixture_by_name, generate_polygon_triangulations)
 from .fileformat import FormatError, load_file, loads

@@ -5,8 +5,8 @@
     gentlehh ag-compare FILE1 FILE2 [--nmax N] [--char C]
     gentlehh generate --polygon N --out DIR
 
-Exit codes: 0 success, 2 invalid input (parse or validation failure),
-3 cross-method disagreement.
+Exit codes: 0 success, 2 invalid input (an out-of-range argument, or a
+parse or validation failure), 3 cross-method disagreement.
 """
 
 import argparse
@@ -15,6 +15,7 @@ import sys
 
 from . import corpus, fileformat, report
 from .ag import ag_invariant, compare_ag
+from .linalg import check_characteristic
 from .quiver import GentlenessViolation, InfiniteDimensionalError
 from .surface import SurfaceError, build_surface
 
@@ -23,7 +24,8 @@ EXIT_INVALID = 2
 EXIT_DISAGREE = 3
 
 INPUT_ERRORS = (fileformat.FormatError, SurfaceError, GentlenessViolation,
-                InfiniteDimensionalError, corpus.FixtureCorrupt, OSError)
+                InfiniteDimensionalError, corpus.FixtureCorrupt, OSError,
+                UnicodeDecodeError)
 
 
 def _parser():
@@ -87,10 +89,25 @@ def cmd_analyze(args) -> int:
 
 
 def _polygon_range(spec: str):
-    lo, sep, hi = spec.partition("..")
-    if not sep:
-        raise ValueError("--polygons wants A..B, e.g. 4..9")
-    return int(lo), int(hi)
+    lo, _, hi = spec.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError("--polygons wants A..B with integers A and B, "
+                         "e.g. 4..9, got %r" % spec) from None
+    if not 4 <= lo <= hi:
+        raise ValueError("--polygons A..B needs 4 <= A <= B, got %r" % spec)
+    return lo, hi
+
+
+def _check_arguments(args):
+    """Reject out-of-range arguments before any work starts; ValueError
+    carries the message.  ``--polygons`` is replaced by its (A, B) range."""
+    if getattr(args, "nmax", 1) < 1:
+        raise ValueError("--nmax must be at least 1, got %d" % args.nmax)
+    check_characteristic(getattr(args, "char", 0))
+    if getattr(args, "polygons", None):
+        args.polygons = _polygon_range(args.polygons)
 
 
 def cmd_crosscheck(args) -> int:
@@ -106,7 +123,7 @@ def cmd_crosscheck(args) -> int:
             else:
                 instances.append((token, _load_surface(token)))
         if args.polygons:
-            lo, hi = _polygon_range(args.polygons)
+            lo, hi = args.polygons
             for n in range(lo, hi + 1):
                 for data in corpus.generate_polygon_triangulations(n):
                     instances.append((data.name, build_surface(data)))
@@ -174,6 +191,11 @@ def cmd_generate(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    try:
+        _check_arguments(args)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
     handler = {
         "analyze": cmd_analyze,
         "crosscheck": cmd_crosscheck,

@@ -11,6 +11,11 @@ zero, anything else is again a basis path):
 with the degree-1 case reading f on trivial paths on both sides.  Written
 this way the composite of consecutive differentials vanishes identically
 over the integers, which the builder verifies.
+
+The complex is assembled once, over the integers and independent of the
+characteristic, with sparse differentials: the row of a pair (rho, delta)
+has at most two entries, found by dict lookup.  The characteristic enters
+only in :func:`hh_dims_oracle`, at the rank step.
 """
 
 from dataclasses import dataclass
@@ -20,27 +25,16 @@ from .pairs import HHTable, ap_paths
 from .quiver import GentlePresentation, Path
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Coefficient field: exact rationals (characteristic 0) or the prime
-    field GF(p).  No floating point is involved anywhere."""
-
-    characteristic: int
-
-    def __post_init__(self):
-        check_characteristic(self.characteristic)
-
-
 @dataclass
 class CochainComplex:
-    """Bases and differential matrices D_1..D_N.
+    """Bases and sparse integer differentials D_1..D_N.
 
     ``bases[n]`` lists the degree-n parallel pairs; ``differentials[n]``
-    (1-indexed) is the integer matrix of D_n with rows over bases[n] and
-    columns over bases[n-1].
+    (1-indexed) is D_n with one row per pair of bases[n], each row a
+    tuple of (column, value) pairs with nonzero values and increasing
+    columns, indexing bases[n-1].
     """
 
-    field: FieldSpec
     bases: list
     differentials: list
 
@@ -49,22 +43,7 @@ class CochainComplex:
         return len(self.bases) - 1
 
 
-def _reduce_left(presentation, arrow: int, gamma: Path):
-    """Multiply an arrow onto the left of a basis path inside the algebra;
-    None encodes zero."""
-    if gamma.arrows and (arrow, gamma.arrows[0]) in presentation.relations:
-        return None
-    return Path(presentation.quiver.arrows[arrow].source, (arrow,) + gamma.arrows)
-
-
-def _reduce_right(presentation, gamma: Path, arrow: int):
-    if gamma.arrows and (gamma.arrows[-1], arrow) in presentation.relations:
-        return None
-    return Path(gamma.source, gamma.arrows + (arrow,))
-
-
-def build_complex(presentation: GentlePresentation, field: FieldSpec,
-                  nmax: int) -> CochainComplex:
+def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex:
     """Assemble bases and differentials up to degree nmax + 1.
 
     Propagates :class:`InfiniteDimensionalError` from basis enumeration.
@@ -73,69 +52,75 @@ def build_complex(presentation: GentlePresentation, field: FieldSpec,
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     basis = presentation.basis  # may raise InfiniteDimensionalError
+    target = presentation.path_target
+    parallel = {}
+    for gamma in basis:
+        parallel.setdefault((gamma.source, target(gamma)), []).append(gamma)
+    arrows = presentation.quiver.arrows
     top = nmax + 1
 
-    aps = {n: ap_paths(presentation, n) for n in range(top + 1)}
     bases = []
-    for n in range(top + 1):
-        pairs = [(rho, gamma)
-                 for rho in aps[n] for gamma in basis
-                 if rho.source == gamma.source
-                 and presentation.path_target(rho) == presentation.path_target(gamma)]
-        bases.append(pairs)
-
     differentials = [None]
-    for n in range(1, top + 1):
-        rows = {pair: i for i, pair in enumerate(bases[n])}
-        matrix = [[0] * len(bases[n - 1]) for _ in range(len(bases[n]))]
+    for n in range(top + 1):
+        bases.append([(rho, gamma) for rho in ap_paths(presentation, n)
+                      for gamma in parallel.get((rho.source, target(rho)), ())])
+        if n == 0:
+            continue
+        # D_n(rho, delta) reads f at (tail, delta without its first arrow)
+        # when that arrow is the first of rho, and at (head, delta without
+        # its last arrow) when that is the last of rho; a subpath of a basis
+        # path is a basis path, so both columns exist.
+        columns = {pair: i for i, pair in enumerate(bases[n - 1])}
         sign = -1 if n % 2 else 1
-        for col, (rho_prev, gamma) in enumerate(bases[n - 1]):
-            for rho in aps[n]:
-                first, last = rho.arrows[0], rho.arrows[-1]
-                tail = Path(presentation.quiver.arrows[first].target, rho.arrows[1:])
+        matrix = []
+        for rho, delta in bases[n]:
+            entries = {}
+            if delta.arrows and delta.arrows[0] == rho.arrows[0]:
+                tail = Path(arrows[rho.arrows[0]].target, rho.arrows[1:])
+                gamma = Path(tail.source, delta.arrows[1:])
+                entries[columns[(tail, gamma)]] = 1
+            if delta.arrows and delta.arrows[-1] == rho.arrows[-1]:
                 head = Path(rho.source, rho.arrows[:-1])
-                if tail == rho_prev:
-                    product = _reduce_left(presentation, first, gamma)
-                    if product is not None:
-                        matrix[rows[(rho, product)]][col] += 1
-                if head == rho_prev:
-                    product = _reduce_right(presentation, gamma, last)
-                    if product is not None:
-                        matrix[rows[(rho, product)]][col] += sign
+                col = columns[(head, Path(delta.source, delta.arrows[:-1]))]
+                entries[col] = entries.get(col, 0) + sign
+            matrix.append(tuple(sorted((c, v) for c, v in entries.items() if v)))
         differentials.append(matrix)
 
-    complex_ = CochainComplex(field=field, bases=bases, differentials=differentials)
+    complex_ = CochainComplex(bases=bases, differentials=differentials)
     verify_complex_property(complex_)
     return complex_
 
 
 def verify_complex_property(complex_: CochainComplex):
-    """Check D_{n+1} . D_n = 0 over the integers for every degree."""
+    """Check D_{n+1} . D_n = 0 over the integers for every degree, in time
+    proportional to the number of nonzero products."""
     for n in range(1, complex_.top_degree):
         d_n = complex_.differentials[n]
-        d_next = complex_.differentials[n + 1]
-        for col in range(len(complex_.bases[n - 1])):
-            for row in range(len(complex_.bases[n + 1])):
-                total = sum(d_next[row][k] * d_n[k][col]
-                            for k in range(len(complex_.bases[n])))
-                if total != 0:
+        for row, entries in enumerate(complex_.differentials[n + 1]):
+            totals = {}
+            for k, outer in entries:
+                for col, inner in d_n[k]:
+                    totals[col] = totals.get(col, 0) + outer * inner
+            for col, total in totals.items():
+                if total:
                     raise AssertionError(
                         "D_%d . D_%d is nonzero at (%d, %d)" % (n + 1, n, row, col))
 
 
-def hh_dims_oracle(complex_: CochainComplex) -> HHTable:
-    """Cohomology dimensions of an assembled complex.
+def hh_dims_oracle(complex_: CochainComplex, characteristic: int) -> HHTable:
+    """Cohomology dimensions of an assembled complex over Q
+    (characteristic 0) or GF(characteristic).
 
     HH^0 is the kernel dimension of D_1 and HH^n the kernel of D_{n+1}
-    minus the rank of D_n; all ranks by exact elimination over the field.
+    minus the rank of D_n; all ranks by exact sparse elimination.
     """
-    char = complex_.field.characteristic
-    nmax = complex_.top_degree - 1
-    ranks = [0] + [rank(complex_.differentials[n], char)
-                   for n in range(1, complex_.top_degree + 1)]
-    dims = [nullity(complex_.differentials[1], len(complex_.bases[0]), char)]
-    for n in range(1, nmax + 1):
-        kernel = len(complex_.bases[n]) - ranks[n + 1]
-        dims.append(kernel - ranks[n])
-    return HHTable(characteristic=char, dims=tuple(dims), method="oracle",
+    check_characteristic(characteristic)
+    bases, differentials = complex_.bases, complex_.differentials
+    hh0 = nullity(differentials[1], len(bases[0]), characteristic)
+    ranks = [0, len(bases[0]) - hh0] + [
+        rank(differentials[n], characteristic)
+        for n in range(2, complex_.top_degree + 1)]
+    dims = [len(bases[n]) - ranks[n + 1] - ranks[n]
+            for n in range(complex_.top_degree)]
+    return HHTable(characteristic=characteristic, dims=tuple(dims), method="oracle",
                    tail_note="exact kernel/rank computation")

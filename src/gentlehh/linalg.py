@@ -1,12 +1,14 @@
-"""Exact rank computations over the rationals and prime fields.
+"""Exact rank of sparse integer matrices over the rationals and prime fields.
 
-Matrices are lists of integer rows.  Entries never leave exact arithmetic:
-Fractions over characteristic 0, residues mod p otherwise.  Pivoting is
-deterministic (first nonzero entry in column order), so repeated runs
-eliminate identically.
+A matrix is a sequence of rows, each a sequence of (column, value) pairs
+with distinct columns and integer values; absent entries are zero.
+Elimination never leaves the integers: a row is reduced by a
+cross-multiplied pivot row, then taken mod p in characteristic p, or
+divided by the gcd of its entries in characteristic 0.  Rows are taken in order and each pivots on its least
+column, so repeated runs eliminate identically.
 """
 
-from fractions import Fraction
+from math import gcd
 
 
 def is_prime(p: int) -> bool:
@@ -25,43 +27,35 @@ def check_characteristic(char: int):
         raise ValueError("characteristic must be 0 or a prime, got %r" % char)
 
 
+def _normalise(row: dict, char: int) -> dict:
+    """Drop zero entries, then reduce mod char, or over Q divide by the gcd."""
+    if char:
+        return {col: value % char for col, value in row.items() if value % char}
+    row = {col: value for col, value in row.items() if value}
+    divisor = gcd(*row.values())
+    if divisor > 1:
+        row = {col: value // divisor for col, value in row.items()}
+    return row
+
+
 def rank(rows, char: int) -> int:
-    """Rank of an integer matrix over Q (char 0) or GF(char)."""
+    """Rank of a sparse integer matrix over Q (char 0) or GF(char)."""
     check_characteristic(char)
-    if not rows or not rows[0]:
-        return 0
-    if char == 0:
-        m = [[Fraction(x) for x in row] for row in rows]
-    else:
-        m = [[x % char for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for col in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if m[i][col] != 0:
-                pivot = i
+    pivots = {}  # least column -> reduced row holding it
+    for entries in rows:
+        row = _normalise(dict(entries), char)
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
                 break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][col]
-        inv = (1 / lead) if char == 0 else pow(lead, char - 2, char)
-        for i in range(r + 1, n_rows):
-            factor = m[i][col]
-            if factor == 0:
-                continue
-            scale = factor * inv if char == 0 else (factor * inv) % char
-            if char == 0:
-                for j in range(col, n_cols):
-                    m[i][j] -= scale * m[r][j]
-            else:
-                for j in range(col, n_cols):
-                    m[i][j] = (m[i][j] - scale * m[r][j]) % char
-        r += 1
-        if r == n_rows:
-            break
-    return r
+            scale, factor = pivot[col], row[col]
+            combined = {c: scale * value for c, value in row.items()}
+            for c, value in pivot.items():
+                combined[c] = combined.get(c, 0) - factor * value
+            row = _normalise(combined, char)
+    return len(pivots)
 
 
 def nullity(rows, n_cols: int, char: int) -> int:

@@ -204,12 +204,13 @@ def coinvariant_dim(presentation: GentlePresentation, n: int,
     if not members:
         return 0
     index = {rho: i for i, rho in enumerate(members)}
-    size = len(members)
-    matrix = [[0] * size for _ in range(size)]
+    # row j is column j of (1 - rotation), zero at a fixed point; a
+    # transpose has the same rank
+    rows = []
     for j, rho in enumerate(members):
-        matrix[j][j] += 1
-        matrix[index[rotate(presentation, rho)]][j] -= 1
-    return size - rank(matrix, characteristic)
+        image = index[rotate(presentation, rho)]
+        rows.append(((j, 1), (image, -1)) if image != j else ())
+    return len(members) - rank(rows, characteristic)
 
 
 def hh_dims_rr(presentation: GentlePresentation, characteristic: int,

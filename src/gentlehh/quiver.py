@@ -52,11 +52,20 @@ class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
 
+    def __post_init__(self):
+        # adjacency in arrow-id order, built once per quiver
+        outgoing, incoming = {}, {}
+        for a in self.arrows:
+            outgoing.setdefault(a.source, []).append(a)
+            incoming.setdefault(a.target, []).append(a)
+        object.__setattr__(self, "_outgoing", outgoing)
+        object.__setattr__(self, "_incoming", incoming)
+
     def outgoing(self, vertex: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == vertex]
+        return list(self._outgoing.get(vertex, ()))
 
     def incoming(self, vertex: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == vertex]
+        return list(self._incoming.get(vertex, ()))
 
     def arrow_name(self, idx: int) -> str:
         a = self.arrows[idx]

@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass
 
 from .ag import AGInvariant, ag_invariant, hh_dims_ladkani
-from .cochain import FieldSpec, build_complex, hh_dims_oracle
+from .cochain import build_complex, hh_dims_oracle
 from .geometric import hh_dims_geometric
 from .pairs import hh_dims_rr
 from .quiver import build_quiver
@@ -73,8 +73,8 @@ def compute_tables(surface: TriangulatedSurface, characteristic: int,
     if "rr" in methods:
         tables["rr"] = hh_dims_rr(presentation, characteristic, nmax)
     if "oracle" in methods:
-        complex_ = build_complex(presentation, FieldSpec(characteristic), nmax)
-        tables["oracle"] = hh_dims_oracle(complex_)
+        complex_ = build_complex(presentation, nmax)
+        tables["oracle"] = hh_dims_oracle(complex_, characteristic)
     if "ladkani" in methods:
         tables["ladkani"] = hh_dims_ladkani(
             ag_invariant(surface), len(presentation.quiver.vertices),

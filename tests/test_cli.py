@@ -181,3 +181,34 @@ def test_generate_counts(tmp_path, capsys):
         assert cli.main(["generate", "--polygon", str(n), "--out", str(out_dir)]) == 0
         capsys.readouterr()
         assert len(list(out_dir.glob("*.json"))) == count
+
+
+def assert_one_line_error(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", (
+    ["analyze", "FIG8", "--nmax", "0"],
+    ["crosscheck", "--nmax", "0"],
+    ["ag-compare", "FIG8", "FIG8", "--nmax", "0"],
+    ["analyze", "FIG8", "--char", "4"],
+    ["ag-compare", "FIG8", "FIG8", "--char", "4"],
+    ["crosscheck", "--polygons", "x..y"],
+    ["crosscheck", "--polygons", "9..4"],
+))
+def test_out_of_range_arguments_exit_2(argv, fixture_file, capsys):
+    path = fixture_file("fig8")
+    code = cli.main([path if arg == "FIG8" else arg for arg in argv])
+    assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", ("analyze", "crosscheck", "ag-compare"))
+def test_non_utf8_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "café"}'.encode("latin-1"))
+    argv = [command, str(path)] + ([str(path)] if command == "ag-compare" else [])
+    assert_one_line_error(cli.main(argv), capsys)

@@ -105,6 +105,14 @@ def test_basis_ordering_and_closure():
             assert (extended in members) != has_relation_suffix
 
 
+def test_adjacency_is_the_arrow_scan_in_id_order():
+    for name in ("annulus(1,1)", "fig8", "torus-T1"):
+        quiver = presentation_for(name).quiver
+        for v in range(len(quiver.vertices)):
+            assert quiver.outgoing(v) == [a for a in quiver.arrows if a.source == v]
+            assert quiver.incoming(v) == [a for a in quiver.arrows if a.target == v]
+
+
 def test_g1_violation_reported_with_witnesses():
     quiver = Quiver(vertices=("u", "v", "w", "x"),
                     arrows=(Arrow(0, 0, 1), Arrow(1, 0, 2), Arrow(2, 0, 3)))
