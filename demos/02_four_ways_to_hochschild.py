@@ -3,7 +3,7 @@
 The four routes are genuinely independent:
 
   geometric  -- closed formula in boundary types and internal triangles
-  rr         -- exhaustive parallel-pair counting on the bound quiver
+  rr         -- exact parallel-pair counting on the bound quiver
   oracle     -- assemble the integer cochain complex once, take exact
                 kernels and ranks over each field
   ladkani    -- formula in the derived invariant and vertex/arrow counts

@@ -11,7 +11,7 @@ it.
 from dataclasses import dataclass
 
 from .linalg import check_characteristic
-from .pairs import HHTable
+from .pairs import HHTable, parity_weights
 from .surface import TriangulatedSurface, classify_boundaries, internal_triangles
 
 
@@ -86,12 +86,7 @@ def hh_dims_ladkani(invariant: AGInvariant, q0: int, q1: int,
         hh1 += invariant.multiplicity(0, 1)
     dims.append(hh1)
     for n in range(2, nmax + 1):
-        if characteristic == 2:
-            a, b = 1, 1
-        elif n % 2 == 0:
-            a, b = 1, 0
-        else:
-            a, b = 0, 1
+        a, b = parity_weights(characteristic, n)
         dims.append(invariant.multiplicity(1, n)
                     + a * psi(invariant, n) + b * psi(invariant, n - 1))
     return HHTable(characteristic=characteristic, dims=tuple(dims),

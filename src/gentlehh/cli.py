@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import corpus, fileformat, report
-from .ag import ag_invariant, compare_ag
+from .ag import compare_ag
 from .linalg import check_characteristic
 from .quiver import GentlenessViolation, InfiniteDimensionalError
 from .surface import SurfaceError, build_surface
@@ -133,10 +133,7 @@ def cmd_crosscheck(args) -> int:
 
     failures = 0
     for name, surface in instances:
-        verdicts = []
-        for char in (0, 2):
-            result = report.analyze(surface, char, args.nmax)
-            verdicts.append(result)
+        verdicts = [report.analyze(surface, char, args.nmax) for char in (0, 2)]
         ok = all(r.verdict == "pass" for r in verdicts)
         print("%-16s char 0: %s   char 2: %s"
               % (name,
@@ -153,10 +150,9 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_ag_compare(args) -> int:
     try:
-        first = _load_surface(args.file1)
-        second = _load_surface(args.file2)
-        reports = [report.analyze(s, args.char, args.nmax)
-                   for s in (first, second)]
+        reports = [report.analyze(_load_surface(path), args.char, args.nmax,
+                                  methods=("geometric",))
+                   for path in (args.file1, args.file2)]
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
@@ -165,7 +161,7 @@ def cmd_ag_compare(args) -> int:
         print("  AG invariant: %s" % ("; ".join(rep.invariant.lines()) or "(empty)"))
         print("  HH dims (char %d): %s"
               % (rep.characteristic, list(rep.tables["geometric"].dims)))
-    outcome = compare_ag(ag_invariant(first), ag_invariant(second))
+    outcome = compare_ag(reports[0].invariant, reports[1].invariant)
     if outcome.equal:
         print("AG invariants agree: %s" % outcome.verdict)
     else:

@@ -51,19 +51,15 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    basis = presentation.basis  # may raise InfiniteDimensionalError
-    target = presentation.path_target
-    parallel = {}
-    for gamma in basis:
-        parallel.setdefault((gamma.source, target(gamma)), []).append(gamma)
+    parallel = presentation.parallel  # may raise InfiniteDimensionalError
     arrows = presentation.quiver.arrows
     top = nmax + 1
 
     bases = []
     differentials = [None]
     for n in range(top + 1):
-        bases.append([(rho, gamma) for rho in ap_paths(presentation, n)
-                      for gamma in parallel.get((rho.source, target(rho)), ())])
+        bases.append([(rho, gamma) for rho in ap_paths(presentation, n) for gamma in
+                      parallel.get((rho.source, presentation.path_target(rho)), ())])
         if n == 0:
             continue
         # D_n(rho, delta) reads f at (tail, delta without its first arrow)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .linalg import check_characteristic
 from .pairs import HHTable
-from .surface import (TriangulatedSurface, classify_boundaries,
-                      internal_triangles, sint_count)
+from .surface import (TriangulatedSurface, boundary_type_counts,
+                      classify_boundaries, internal_triangles, sint_count)
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ def hh_dims_geometric(surface: TriangulatedSurface, characteristic: int = 0,
     check_characteristic(characteristic)
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    profiles = classify_boundaries(surface)
-    b0 = sum(1 for p in profiles if p.type_tag == "type0")
-    b1 = sum(1 for p in profiles if p.type_tag == "type1")
+    b0, b1 = boundary_type_counts(classify_boundaries(surface))
     int_count = len(internal_triangles(surface))
     q0 = len(surface.arcs)
     q1 = 3 * int_count + sint_count(surface)
@@ -62,8 +60,7 @@ def hh1_remark(surface: TriangulatedSurface) -> int:
     """First Hochschild dimension from raw surface counts only:
     1 + #(1,1)-boundaries + 3*|internal| + |single-boundary-side|
     - 6g - 3b - c + 6."""
-    profiles = classify_boundaries(surface)
-    b1 = sum(1 for p in profiles if p.type_tag == "type1")
+    _, b1 = boundary_type_counts(classify_boundaries(surface))
     return (1 + b1
             + 3 * len(internal_triangles(surface)) + sint_count(surface)
             - 6 * surface.genus

@@ -1,8 +1,10 @@
 """Degree-n zero paths, parallel-pair families, and the pair-counting
 formula for Hochschild dimensions of a gentle presentation.
 
-Everything here is computed by exhaustive scans of finite sets against the
-defining predicates -- deliberately so, since the closed geometric formulas
+The families are enumerated exactly: each zero path finds its parallel
+basis paths in the presentation's (source, target) index, and every
+family is a filter of those pairs by its defining predicate.  The tests
+check equality with brute-force scans, since the closed geometric formulas
 elsewhere are validated against these counts.
 """
 
@@ -51,24 +53,9 @@ class ParallelPairFamily:
 
 
 def ap_paths(presentation: GentlePresentation, n: int) -> list[Path]:
-    """Degree-n generators: trivial paths, arrows, then chains of arrows in
-    which every consecutive pair is a relation."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    quiver = presentation.quiver
-    if n == 0:
-        return [Path(v, ()) for v in range(len(quiver.vertices))]
-    chains = [Path(a.source, (a.idx,)) for a in quiver.arrows]
-    for _ in range(n - 1):
-        extended = []
-        for p in chains:
-            last = p.arrows[-1]
-            for b in quiver.outgoing(quiver.arrows[last].target):
-                if (last, b.idx) in presentation.relations:
-                    extended.append(Path(p.source, p.arrows + (b.idx,)))
-        chains = extended
-    chains.sort(key=Path.sort_key)
-    return chains
+    """Degree-n generators (trivial paths, arrows, then relation chains) as a
+    fresh list from the presentation's cached levels; n < 0 is a ValueError."""
+    return list(presentation.zero_paths(n))
 
 
 def rotate(presentation: GentlePresentation, rho: Path) -> Path:
@@ -80,21 +67,16 @@ def rotate(presentation: GentlePresentation, rho: Path) -> Path:
 
 
 def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
-    """Populate every degree-n pair family by predicate scan."""
+    """Populate every degree-n pair family: the pairs come from the
+    (source, target) index, each subfamily is a predicate filter."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     quiver = presentation.quiver
     relations = presentation.relations
-    basis = presentation.basis
+    parallel = presentation.parallel  # may raise InfiniteDimensionalError
     ap = ap_paths(presentation, n)
-
-    def target(path):
-        return presentation.path_target(path)
-
-    pairs = tuple(
-        (rho, gamma)
-        for rho in ap for gamma in basis
-        if rho.source == gamma.source and target(rho) == target(gamma))
+    pairs = tuple((rho, gamma) for rho in ap for gamma in
+                  parallel.get((rho.source, presentation.path_target(rho)), ()))
 
     def fully_annihilated(gamma):
         # every composable arrow hits a relation on that side
@@ -136,10 +118,12 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
         assert len(complete) + len(incomplete) == len(cyclic)
 
         def is_complete0(rho):
+            # relations are composable: only arrows at rho's ends can matter
             first, last = rho.arrows[0], rho.arrows[-1]
-            for g in quiver.arrows:
+            for g in quiver.incoming(quiver.arrows[first].source):
                 if g.idx != last and (g.idx, first) in relations:
                     return False
+            for g in quiver.outgoing(quiver.arrows[last].target):
                 if g.idx != first and (last, g.idx) in relations:
                     return False
             return True
@@ -213,6 +197,13 @@ def coinvariant_dim(presentation: GentlePresentation, n: int,
     return len(members) - rank(rows, characteristic)
 
 
+def parity_weights(characteristic: int, n: int) -> tuple[int, int]:
+    """Weights of the degree-n and degree-(n-1) rotation terms of HH^n."""
+    if characteristic == 2:
+        return 1, 1
+    return (1, 0) if n % 2 == 0 else (0, 1)
+
+
 def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
                nmax: int) -> HHTable:
     """Hochschild dimensions from the pair-family counts.
@@ -236,12 +227,7 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
         hh1 += len(families[1].loop_pairs)
     dims.append(hh1)
     for n in range(2, nmax + 1):
-        if characteristic == 2:
-            a, b = 1, 1
-        elif n % 2 == 0:
-            a, b = 1, 0
-        else:
-            a, b = 0, 1
+        a, b = parity_weights(characteristic, n)
         dims.append(len(families[n].zero_zero)
                     + len(families[n].empty_incomplete)
                     + a * coinv[n] + b * coinv[n - 1])

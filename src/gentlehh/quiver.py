@@ -82,7 +82,10 @@ class GentlePresentation:
     """A bound quiver (Q, I) with quadratic monomial relations.
 
     ``relations`` is the set of forbidden length-two arrow pairs; the path
-    basis is every path containing none of them, enumerated lazily.
+    basis is every path containing none of them, enumerated lazily.  Two
+    more caches live and die with the presentation: the zero-path levels
+    (AP_n is extended from AP_{n-1} when first asked for) and ``parallel``,
+    the basis paths indexed by (source, target) in basis order.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
@@ -93,7 +96,8 @@ class GentlePresentation:
             a, b = quiver.arrows[first], quiver.arrows[second]
             if a.target != b.source:
                 raise ValueError("relation %d,%d is not a composable pair" % (first, second))
-        self._basis = None
+        self._basis = self._parallel = None
+        self._zero_paths = []
 
     def path_target(self, path: Path) -> int:
         if not path.arrows:
@@ -106,13 +110,35 @@ class GentlePresentation:
             self._basis = tuple(enumerate_basis(self))
         return self._basis
 
+    @property
+    def parallel(self) -> dict:
+        """(source, target) -> tuple of the basis paths with those ends."""
+        if self._parallel is None:
+            index = {}
+            for gamma in self.basis:
+                index.setdefault((gamma.source, self.path_target(gamma)), []).append(gamma)
+            self._parallel = {ends: tuple(paths) for ends, paths in index.items()}
+        return self._parallel
+
+    def zero_paths(self, n: int) -> tuple[Path, ...]:
+        """AP_n in path order: trivial paths, arrows, then chains of n arrows
+        in which every consecutive pair is a relation (extended from AP_{n-1})."""
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
+        levels = self._zero_paths
+        if not levels:
+            levels.append(tuple(Path(v, ()) for v in range(len(self.quiver.vertices))))
+            levels.append(tuple(sorted((Path(a.source, (a.idx,)) for a in self.quiver.arrows),
+                                       key=Path.sort_key)))
+        while len(levels) <= n:
+            levels.append(tuple(sorted(
+                (Path(p.source, p.arrows + (b.idx,)) for p in levels[-1]
+                 for b in self.quiver.outgoing(self.path_target(p))
+                 if (p.arrows[-1], b.idx) in self.relations), key=Path.sort_key)))
+        return levels[n]
+
     def dimension(self) -> int:
         return len(self.basis)
-
-    def path_name(self, path: Path) -> str:
-        if not path.arrows:
-            return "e_%s" % self.quiver.vertices[path.source]
-        return ".".join(self.quiver.arrow_name(i) for i in path.arrows)
 
 
 def build_quiver(surface: TriangulatedSurface) -> GentlePresentation:

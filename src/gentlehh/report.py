@@ -9,8 +9,8 @@ from .cochain import build_complex, hh_dims_oracle
 from .geometric import hh_dims_geometric
 from .pairs import hh_dims_rr
 from .quiver import build_quiver
-from .surface import (TriangulatedSurface, classify_boundaries,
-                      internal_triangles, sint_count)
+from .surface import (TriangulatedSurface, boundary_type_counts,
+                      classify_boundaries, internal_triangles, sint_count)
 
 METHODS = ("geometric", "rr", "oracle", "ladkani")
 
@@ -46,6 +46,7 @@ class Report:
 
 def summarize(surface: TriangulatedSurface) -> SurfaceSummary:
     profiles = classify_boundaries(surface)
+    type0, type1 = boundary_type_counts(profiles)
     return SurfaceSummary(
         genus=surface.genus,
         boundary_components=len(surface.boundary_components),
@@ -55,8 +56,8 @@ def summarize(surface: TriangulatedSurface) -> SurfaceSummary:
         triangles=len(surface.triangles),
         internal_triangles=len(internal_triangles(surface)),
         single_boundary_side_triangles=sint_count(surface),
-        type0_boundaries=sum(1 for p in profiles if p.type_tag == "type0"),
-        type1_boundaries=sum(1 for p in profiles if p.type_tag == "type1"),
+        type0_boundaries=type0,
+        type1_boundaries=type1,
         boundary_pairs=tuple((p.n_incident, p.m_segments) for p in profiles),
     )
 

@@ -116,11 +116,7 @@ class TriangulatedSurface:
     genus: int
     euler_char: int
     # occurrences: arc label -> the two (triangle, position) side slots
-    arc_occurrences: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-
-    @property
-    def num_boundary_components(self) -> int:
-        return len(self.boundary_components)
+    _arc_occurrences: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
 
 def _label_key(label: str):
@@ -242,7 +238,7 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
         boundary_components=components,
         genus=genus,
         euler_char=euler,
-        arc_occurrences=arc_occurrences,
+        _arc_occurrences=arc_occurrences,
     )
 
 
@@ -397,3 +393,9 @@ def classify_boundaries(surface: TriangulatedSurface) -> list[BoundaryProfile]:
             if comp.points[i] in incident and comp.points[(i + 1) % k] in incident)
         profiles.append(BoundaryProfile(idx, n_inc, m_seg))
     return profiles
+
+
+def boundary_type_counts(profiles) -> tuple[int, int]:
+    """Numbers of type-0 ((1,0)) and type-1 ((1,1)) boundary profiles."""
+    tags = [p.type_tag for p in profiles]
+    return tags.count("type0"), tags.count("type1")

@@ -1,9 +1,12 @@
+import collections
+import copy
 import json
+import random
 import re
 
 import pytest
 
-from gentlehh import cli, fileformat, fixture_by_name
+from gentlehh import builtin_fixtures, cli, fileformat, fixture_by_name
 from gentlehh.pairs import HHTable
 
 
@@ -212,3 +215,70 @@ def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     path.write_bytes('{"name": "café"}'.encode("latin-1"))
     argv = [command, str(path)] + ([str(path)] if command == "ag-compare" else [])
     assert_one_line_error(cli.main(argv), capsys)
+
+
+def test_ag_compare_runs_only_the_geometric_method(fixture_file, capsys, monkeypatch):
+    import gentlehh.report as report_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ag-compare prints only the geometric table")
+
+    monkeypatch.setattr(report_module, "build_complex", forbidden)
+    monkeypatch.setattr(report_module, "hh_dims_rr", forbidden)
+    code = cli.main(["ag-compare", fixture_file("torus-T1"),
+                     fixture_file("torus-T2")])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "torus-T1:\n"
+        "  AG invariant: (0, 3): 4; (3, 3): 2\n"
+        "  HH dims (char 0): [1, 7, 0, 0, 0, 0, 4, 4, 0, 0, 0, 0, 4, 4]\n"
+        "torus-T2:\n"
+        "  AG invariant: (0, 3): 4; (2, 2): 1; (4, 4): 1\n"
+        "  HH dims (char 0): [1, 7, 0, 0, 0, 0, 4, 4, 0, 0, 0, 0, 4, 4]\n"
+        "AG invariants differ at (3, 3): 2 vs 0 -> not derived equivalent\n")
+
+
+def mutate(doc, rng):
+    """Apply one to three random edits to a copy of a triangulation
+    document: drop a side, duplicate one side over another, relabel a side
+    (to a label in use or a fresh one), or swap the kind of a side or of
+    every side with its label."""
+    doc = copy.deepcopy(doc)
+    triangles = doc["triangles"]
+    labels = sorted({side["label"] for tri in triangles for side in tri})
+    for _ in range(rng.randint(1, 3)):
+        tri = rng.choice(triangles)
+        if not tri:
+            continue
+        side = tri[rng.randrange(len(tri))]
+        edit = rng.choices(("drop", "duplicate", "relabel", "swap kind"), (1, 2, 4, 3))[0]
+        if edit == "drop":
+            tri.remove(side)
+        elif edit == "duplicate":
+            side.update(rng.choice([s for t in triangles for s in t]))
+        elif edit == "relabel":
+            side["label"] = rng.choice(labels + ["fresh%d" % rng.randrange(3)])
+        else:
+            kind = "arc" if side["kind"] == "boundary" else "boundary"
+            for other in ([side] if rng.random() < 0.5 else
+                          [s for t in triangles for s in t if s["label"] == side["label"]]):
+                other["kind"] = kind
+    return doc
+
+
+def test_mutated_fixture_documents_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(4)
+    documents = [fileformat.as_document(f.data) for f in builtin_fixtures()]
+    codes = collections.Counter()
+    for k in range(500):
+        path = tmp_path / ("mutant%d.json" % k)
+        path.write_text(json.dumps(mutate(rng.choice(documents), rng)))
+        code = cli.main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), path.read_text()
+        if code == 2:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        codes[code] += 1
+    # the edits reach both rejected and accepted documents
+    assert codes[2] and codes[0], codes

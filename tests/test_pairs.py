@@ -1,6 +1,11 @@
-import pytest
+import dataclasses
 
-from gentlehh import (ap_paths, build_quiver, coinvariant_dim, fixture_by_name,
+import pytest
+from test_cochain import random_polygon
+
+from gentlehh import (Arrow, GentlePresentation, ParallelPairFamily, Path,
+                      Quiver, ap_paths, build_quiver, build_surface, builtin_fixtures, coinvariant_dim,
+                      fixture_by_name, generate_polygon_triangulations,
                       hh_dims_rr, pair_order, rotate, rr_sets)
 
 
@@ -131,3 +136,142 @@ def test_minimal_nmax():
     assert list(hh_dims_rr(p, 0, 1).dims) == [2, 7]
     with pytest.raises(ValueError):
         hh_dims_rr(p, 0, 0)
+
+
+# Brute-force references: AP_n rebuilt from scratch for every degree, the
+# pair scan over AP_n x basis, and the complete0 test over every arrow.
+
+def reference_ap_paths(p, n):
+    if n == 0:
+        return [Path(v, ()) for v in range(len(p.quiver.vertices))]
+    chains = [Path(a.source, (a.idx,)) for a in p.quiver.arrows]
+    for _ in range(n - 1):
+        chains = [Path(c.source, c.arrows + (b.idx,)) for c in chains
+                  for b in p.quiver.arrows if (c.arrows[-1], b.idx) in p.relations]
+    return sorted(chains, key=Path.sort_key)
+
+
+def reference_rr_sets(p, n):
+    arrows, relations = p.quiver.arrows, p.relations
+    ap = reference_ap_paths(p, n)
+    pairs = tuple((rho, gamma) for rho in ap for gamma in p.basis
+                  if rho.source == gamma.source
+                  and p.path_target(rho) == p.path_target(gamma))
+
+    def into(v):
+        return [a.idx for a in arrows if a.target == v]
+
+    def out_of(v):
+        return [a.idx for a in arrows if a.source == v]
+
+    def fully_annihilated(gamma):
+        if not gamma.arrows:
+            return not into(gamma.source) and not out_of(gamma.source)
+        first, last = gamma.arrows[0], gamma.arrows[-1]
+        return (all((b, first) in relations for b in into(arrows[first].source))
+                and all((last, b) in relations for b in out_of(arrows[last].target)))
+
+    def is_complete0(rho):
+        first, last = rho.arrows[0], rho.arrows[-1]
+        return not any((g.idx != last and (g.idx, first) in relations)
+                       or (g.idx != first and (last, g.idx) in relations)
+                       for g in arrows)
+
+    fields = dict(degree=n, ap=tuple(ap), pairs=pairs, set_a=(), zero_zero=(),
+                  complete=(), incomplete=(), complete0=(), gentle_complete=(),
+                  empty_incomplete=(),
+                  loop_pairs=tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
+                                   for a in arrows if a.source == a.target))
+    if n == 0:
+        fields["set_a"] = tuple((rho, g) for rho, g in pairs
+                                if g.arrows and fully_annihilated(g))
+        return ParallelPairFamily(**fields)
+    fields["zero_zero"] = tuple(
+        (rho, g) for rho, g in pairs
+        if (not g.arrows or (g.arrows[0] != rho.arrows[0]
+                             and g.arrows[-1] != rho.arrows[-1]))
+        and fully_annihilated(g))
+    cyclic = [(rho, g) for rho, g in pairs if not g.arrows]
+    fields["complete"] = tuple((rho, g) for rho, g in cyclic
+                               if (rho.arrows[-1], rho.arrows[0]) in relations)
+    fields["incomplete"] = tuple((rho, g) for rho, g in cyclic
+                                 if (rho.arrows[-1], rho.arrows[0]) not in relations)
+    fields["complete0"] = tuple((rho, g) for rho, g in fields["complete"]
+                                if is_complete0(rho))
+    complete0 = {rho for rho, _ in fields["complete0"]}
+
+    def orbit(rho):
+        out = [rho]
+        for _ in range(n - 1):
+            out.append(rotate(p, out[-1]))
+        return out
+
+    fields["gentle_complete"] = tuple(
+        (rho, g) for rho, g in fields["complete"]
+        if all(r in complete0 for r in orbit(rho)))
+    midpoints = {arrows[a].target for a, _ in relations}
+    fields["empty_incomplete"] = tuple((rho, g) for rho, g in fields["incomplete"]
+                                       if rho.source not in midpoints)
+    return ParallelPairFamily(**fields)
+
+
+def extra_relation_presentation(side):
+    """Not gentle: the 3-cycle 0 -> 1 -> 2 -> 0 of arrows 0, 1, 2 under its
+    three relations, plus arrows 3 -> 0 and 0 -> 4 and one more relation at
+    vertex 0, into arrow 0 or out of arrow 2.  It is the only way to reach
+    the complete0 predicate, which holds for every complete pair of a
+    gentle presentation."""
+    arrows = (Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 2, 0), Arrow(3, 3, 0),
+              Arrow(4, 0, 4))
+    extra = (3, 0) if side == "in" else (2, 4)
+    return GentlePresentation(Quiver(tuple("v%d" % i for i in range(5)), arrows),
+                              [(0, 1, 2)], {(0, 1), (1, 2), (2, 0), extra})
+
+
+def brute_force_instances(group):
+    """(name, factory of a fresh presentation) for one group of instances."""
+    if group == "fixtures":
+        surfaces = [(f.name, f.surface()) for f in builtin_fixtures()]
+    elif group == "polygons 4..8":
+        surfaces = [(d.name, build_surface(d)) for n in range(4, 9)
+                    for d in generate_polygon_triangulations(n)]
+    elif group == "60-gon":
+        surfaces = [("60-gon", random_polygon(60, 11))]
+    else:
+        return [(side, lambda side=side: extra_relation_presentation(side))
+                for side in ("in", "out")]
+    return [(name, lambda s=s: build_quiver(s)) for name, s in surfaces]
+
+
+BRUTE_FORCE_GROUPS = ("fixtures", "polygons 4..8", "60-gon", "extra relations")
+TOP = 15
+
+
+@pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS)
+def test_cached_zero_paths_match_the_scratch_rebuild(group):
+    for name, make in brute_force_instances(group):
+        ascending, top_first = make(), make()
+        assert ap_paths(top_first, TOP) == reference_ap_paths(ascending, TOP), name
+        for n in range(TOP + 1):
+            expected = reference_ap_paths(ascending, n)
+            assert ap_paths(ascending, n) == expected, (name, n)
+            assert ap_paths(top_first, n) == expected, (name, n)
+            returned = ap_paths(ascending, n)
+            returned.append(Path(0, ()))
+            returned.reverse()
+            assert ap_paths(ascending, n) == expected, (name, n)
+        with pytest.raises(ValueError):
+            ap_paths(ascending, -1)
+
+
+@pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS)
+def test_rr_families_match_the_brute_force_scan(group):
+    for name, make in brute_force_instances(group):
+        p = make()
+        for n in range(TOP + 1):
+            family, reference = rr_sets(p, n), reference_rr_sets(p, n)
+            for f in dataclasses.fields(ParallelPairFamily):
+                assert getattr(family, f.name) == getattr(reference, f.name), \
+                    (name, n, f.name)
+            if group == "extra relations" and n % 3 == 0 and n:
+                assert (len(family.complete), len(family.complete0)) == (3, 2)
