@@ -21,7 +21,7 @@ only in :func:`hh_dims_oracle`, at the rank step.
 from dataclasses import dataclass
 
 from .linalg import check_characteristic, nullity, rank
-from .pairs import HHTable, ap_paths
+from .pairs import HHTable, ap_paths, parallel_pairs
 from .quiver import GentlePresentation, Path
 
 
@@ -51,15 +51,13 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    parallel = presentation.parallel  # may raise InfiniteDimensionalError
     arrows = presentation.quiver.arrows
     top = nmax + 1
 
     bases = []
     differentials = [None]
     for n in range(top + 1):
-        bases.append([(rho, gamma) for rho in ap_paths(presentation, n) for gamma in
-                      parallel.get((rho.source, presentation.path_target(rho)), ())])
+        bases.append(parallel_pairs(presentation, ap_paths(presentation, n)))
         if n == 0:
             continue
         # D_n(rho, delta) reads f at (tail, delta without its first arrow)

@@ -6,11 +6,15 @@ basis paths in the presentation's (source, target) index, and every
 family is a filter of those pairs by its defining predicate.  The tests
 check equality with brute-force scans, since the closed geometric formulas
 elsewhere are validated against these counts.
+
+Coinvariant dimensions are counted as rotation orbits, since rotation
+permutes the cyclic pairs: the rr method does no linear algebra.
 """
 
 from dataclasses import dataclass, field
 
-from .linalg import check_characteristic, rank
+# unused here, but bench/tracer.py wraps gentlehh.pairs.rank by name
+from .linalg import check_characteristic, rank  # noqa: F401
 from .quiver import GentlePresentation, Path
 
 
@@ -58,12 +62,41 @@ def ap_paths(presentation: GentlePresentation, n: int) -> list[Path]:
     return list(presentation.zero_paths(n))
 
 
+def parallel_pairs(presentation: GentlePresentation,
+                   ap: list[Path]) -> list[tuple[Path, Path]]:
+    """Each zero path of ``ap`` with each of its parallel basis paths, in
+    the order of ``ap`` and then of the basis; the degree-n pairs of both
+    the rr families and the cochain basis."""
+    parallel = presentation.parallel  # may raise InfiniteDimensionalError
+    return [(rho, gamma) for rho in ap for gamma in
+            parallel.get((rho.source, presentation.path_target(rho)), ())]
+
+
 def rotate(presentation: GentlePresentation, rho: Path) -> Path:
     """The rotation action on cyclic zero paths: move the last arrow in
     front.  Only defined when the chain is a cycle."""
     last = rho.arrows[-1]
     return Path(presentation.quiver.arrows[last].source,
                 (last,) + rho.arrows[:-1])
+
+
+def _orbits(presentation: GentlePresentation, rhos) -> list[list[Path]]:
+    """The rotation orbits of the cyclic zero paths ``rhos``, each walked
+    once from its first member rho as rotate(rho), ..., rho."""
+    seen = set()
+    orbits = []
+    for rho in rhos:
+        if rho in seen:
+            continue
+        orbit = [rotate(presentation, rho)]
+        while orbit[-1] != rho:
+            assert len(orbit) < len(rho.arrows), "rotation orbit does not close"
+            orbit.append(rotate(presentation, orbit[-1]))
+        # rotate^n is the identity on a cycle of n arrows
+        assert len(rho.arrows) % len(orbit) == 0
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
@@ -73,10 +106,8 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
         raise ValueError("degree must be nonnegative")
     quiver = presentation.quiver
     relations = presentation.relations
-    parallel = presentation.parallel  # may raise InfiniteDimensionalError
     ap = ap_paths(presentation, n)
-    pairs = tuple((rho, gamma) for rho in ap for gamma in
-                  parallel.get((rho.source, presentation.path_target(rho)), ()))
+    pairs = tuple(parallel_pairs(presentation, ap))
 
     def fully_annihilated(gamma):
         # every composable arrow hits a relation on that side
@@ -130,22 +161,15 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
 
         complete0 = tuple((rho, gamma) for rho, gamma in complete
                           if is_complete0(rho))
+        complete_set = {rho for rho, _ in complete}
         complete0_set = {rho for rho, _ in complete0}
-
-        def orbit_in_complete0(rho):
-            current = rho
-            for _ in range(n):
-                if current not in complete0_set:
-                    return False
-                current = rotate(presentation, current)
-            assert current == rho
-            return True
-
+        gentle = set()
+        for orbit in _orbits(presentation, (rho for rho, _ in complete)):
+            assert complete_set.issuperset(orbit)  # rotation maps complete to itself
+            if complete0_set.issuperset(orbit):
+                gentle.update(orbit)
         gentle_complete = tuple((rho, gamma) for rho, gamma in complete
-                                if orbit_in_complete0(rho))
-        # closure of the rotation action on the gentle complete family
-        gc_set = {rho for rho, _ in gentle_complete}
-        assert all(rotate(presentation, rho) in gc_set for rho in gc_set)
+                                if rho in gentle)
 
         relation_midpoints = {quiver.arrows[a].target for a, _ in relations}
         empty_incomplete = tuple(
@@ -165,36 +189,22 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
 
 def pair_order(presentation: GentlePresentation, pair) -> int:
     """Least k >= 1 with rotate^k fixing the cyclic pair."""
-    rho, _ = pair
-    current = rotate(presentation, rho)
-    k = 1
-    while current != rho:
-        current = rotate(presentation, current)
-        k += 1
-    return k
+    return len(_orbits(presentation, [pair[0]])[0])
 
 
 def coinvariant_dim(presentation: GentlePresentation, n: int,
                     characteristic: int = 0,
                     family: ParallelPairFamily | None = None) -> int:
     """Dimension of the rotation coinvariants of the degree-n gentle
-    complete family, as the cokernel of (1 - rotation) over the field."""
+    complete family, counted as its rotation orbits: rotation permutes the
+    family, so over every field the cokernel of (1 - rotation) is free on
+    the orbits, and the characteristic (validated) cannot change it."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_characteristic(characteristic)
     if family is None:
         family = rr_sets(presentation, n)
-    members = [rho for rho, _ in family.gentle_complete]
-    if not members:
-        return 0
-    index = {rho: i for i, rho in enumerate(members)}
-    # row j is column j of (1 - rotation), zero at a fixed point; a
-    # transpose has the same rank
-    rows = []
-    for j, rho in enumerate(members):
-        image = index[rotate(presentation, rho)]
-        rows.append(((j, 1), (image, -1)) if image != j else ())
-    return len(members) - rank(rows, characteristic)
+    return len(_orbits(presentation, (rho for rho, _ in family.gentle_complete)))
 
 
 def parity_weights(characteristic: int, n: int) -> tuple[int, int]:

@@ -2,7 +2,7 @@
 requested methods, derived invariant, and the cross-method verdict."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .ag import AGInvariant, ag_invariant, hh_dims_ladkani
 from .cochain import build_complex, hh_dims_oracle
@@ -142,22 +142,9 @@ def render_text(report: Report) -> str:
 
 
 def as_json_document(report: Report) -> dict:
-    s = report.summary
     return {
         "name": report.name,
-        "surface": {
-            "genus": s.genus,
-            "boundary_components": s.boundary_components,
-            "marked_points": s.marked_points,
-            "arcs": s.arcs,
-            "boundary_segments": s.boundary_segments,
-            "triangles": s.triangles,
-            "internal_triangles": s.internal_triangles,
-            "single_boundary_side_triangles": s.single_boundary_side_triangles,
-            "type0_boundaries": s.type0_boundaries,
-            "type1_boundaries": s.type1_boundaries,
-            "boundary_pairs": [list(p) for p in s.boundary_pairs],
-        },
+        "surface": asdict(report.summary),
         "characteristic": report.characteristic,
         "nmax": report.nmax,
         "methods": {

@@ -102,10 +102,9 @@ class BoundaryProfile:
 
 @dataclass(frozen=True)
 class TriangulatedSurface:
-    """A validated triangulation with its derived topology.
-
-    Immutable after construction; every derived count is precomputed.
-    """
+    """A validated, immutable triangulation with its genus and Euler
+    characteristic; the module functions derive the other counts (internal
+    triangles, boundary profiles) from the triangles on each call."""
 
     name: str
     triangles: tuple[Triangle, ...]

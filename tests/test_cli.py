@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import json
 import random
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from gentlehh import builtin_fixtures, cli, fileformat, fixture_by_name
 from gentlehh.pairs import HHTable
+from gentlehh.report import SurfaceSummary
 
 
 @pytest.fixture
@@ -78,6 +80,7 @@ def test_analyze_json_is_a_superset_of_text(fixture_file, capsys):
     collect(doc)
     for token in re.findall(r"\d+", text):
         assert int(token) in numbers
+    assert list(doc["surface"]) == [f.name for f in dataclasses.fields(SurfaceSummary)]
 
 
 def test_analyze_invalid_file_exits_2(tmp_path, capsys):

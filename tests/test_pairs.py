@@ -7,6 +7,7 @@ from gentlehh import (Arrow, GentlePresentation, ParallelPairFamily, Path,
                       Quiver, ap_paths, build_quiver, build_surface, builtin_fixtures, coinvariant_dim,
                       fixture_by_name, generate_polygon_triangulations,
                       hh_dims_rr, pair_order, rotate, rr_sets)
+from gentlehh.linalg import rank
 
 
 def presentation_for(name):
@@ -215,15 +216,16 @@ def reference_rr_sets(p, n):
     return ParallelPairFamily(**fields)
 
 
-def extra_relation_presentation(side):
-    """Not gentle: the 3-cycle 0 -> 1 -> 2 -> 0 of arrows 0, 1, 2 under its
-    three relations, plus arrows 3 -> 0 and 0 -> 4 and one more relation at
-    vertex 0, into arrow 0 or out of arrow 2.  It is the only way to reach
-    the complete0 predicate, which holds for every complete pair of a
-    gentle presentation."""
-    arrows = (Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 2, 0), Arrow(3, 3, 0),
-              Arrow(4, 0, 4))
-    extra = (3, 0) if side == "in" else (2, 4)
+def extra_relation_presentation(side, k):
+    """Not gentle: the 3-cycle 0 -> 1 -> 2 -> 0 of arrows 0, 1, 2 (arrow i
+    leaves vertex i) under its three relations, plus arrows 3 -> k and
+    k -> 4 and one more relation at vertex k, into or out of the cycle.  It
+    is the only way to reach the complete0 predicate, which holds for every
+    complete pair of a gentle presentation.  At k = 0 the chain that fails
+    it is the first complete pair in basis order, at k = 1 it is not."""
+    arrows = (Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 2, 0), Arrow(3, 3, k),
+              Arrow(4, k, 4))
+    extra = (3, k) if side == "in" else ((k - 1) % 3, 4)
     return GentlePresentation(Quiver(tuple("v%d" % i for i in range(5)), arrows),
                               [(0, 1, 2)], {(0, 1), (1, 2), (2, 0), extra})
 
@@ -238,8 +240,9 @@ def brute_force_instances(group):
     elif group == "60-gon":
         surfaces = [("60-gon", random_polygon(60, 11))]
     else:
-        return [(side, lambda side=side: extra_relation_presentation(side))
-                for side in ("in", "out")]
+        return [("%s at v%d" % (side, k),
+                 lambda side=side, k=k: extra_relation_presentation(side, k))
+                for side in ("in", "out") for k in (0, 1)]
     return [(name, lambda s=s: build_quiver(s)) for name, s in surfaces]
 
 
@@ -275,3 +278,38 @@ def test_rr_families_match_the_brute_force_scan(group):
                     (name, n, f.name)
             if group == "extra relations" and n % 3 == 0 and n:
                 assert (len(family.complete), len(family.complete0)) == (3, 2)
+
+
+# References for the orbit counts: the coinvariant dimension as the
+# cokernel rank of (1 - rotation) over the field, and the order of a pair
+# as the least k with rotate^k(rho) == rho.
+
+def reference_coinvariant_dim(p, family, char):
+    members = [rho for rho, _ in family.gentle_complete]
+    index = {rho: i for i, rho in enumerate(members)}
+    rows = []
+    for j, rho in enumerate(members):
+        image = index[rotate(p, rho)]
+        rows.append(((j, 1), (image, -1)) if image != j else ())
+    return len(members) - rank(rows, char)
+
+
+def reference_pair_order(p, rho):
+    current, k = rotate(p, rho), 1
+    while current != rho:
+        current, k = rotate(p, current), k + 1
+    return k
+
+
+@pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS)
+def test_orbit_counts_match_the_rank_and_the_rotation_order(group):
+    for name, make in brute_force_instances(group):
+        p = make()
+        for n in range(1, TOP + 1):
+            family = rr_sets(p, n)
+            for char in (0, 2, 3):
+                assert coinvariant_dim(p, n, char, family) == \
+                    reference_coinvariant_dim(p, family, char), (name, n, char)
+            for pair in family.complete:
+                assert pair_order(p, pair) == reference_pair_order(p, pair[0]), \
+                    (name, n, pair)
