@@ -30,10 +30,14 @@ print()
 
 NMAX = 13
 # The cochain complex is assembled once over the integers, with sparse
-# differentials; only its ranks depend on the characteristic.
+# differentials; only its ranks depend on the characteristic.  Its zero
+# paths repeat with one more turn around a triangle every three degrees,
+# so one verified period is built and the later degrees reuse it.
 complex_ = build_complex(presentation, NMAX)
-print("cochain complex: %d cochains, %d nonzero differential entries"
-      % (sum(len(basis) for basis in complex_.bases),
+print("cochain complex: degrees 0..%d of 0..%d built (period %d), "
+      "%d cochains, %d nonzero differential entries"
+      % (len(complex_.bases) - 1, complex_.top_degree, complex_.period,
+         sum(len(basis) for basis in complex_.bases),
          sum(len(row) for matrix in complex_.differentials[1:] for row in matrix)))
 print()
 for char in (0, 2):

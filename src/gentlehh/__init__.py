@@ -5,7 +5,7 @@ invariant that separates algebras the cohomology cannot."""
 from .ag import (AGComparison, AGInvariant, ag_invariant, compare_ag,
                  hh_dims_ladkani, psi)
 from .cochain import (CochainComplex, build_complex, hh_dims_oracle,
-                      verify_complex_property)
+                      verify_complex_property, verify_period)
 from .corpus import (Fixture, FixtureCorrupt, builtin_fixtures,
                      fixture_by_name, generate_polygon_triangulations)
 from .fileformat import FormatError, load_file, loads

@@ -21,19 +21,19 @@ class AGInvariant:
 
     support: tuple[tuple[tuple[int, int], int], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.support))
+
     @staticmethod
     def from_counts(counts: dict) -> "AGInvariant":
         cleaned = {pair: mult for pair, mult in counts.items() if mult > 0}
         return AGInvariant(tuple(sorted(cleaned.items())))
 
     def multiplicity(self, n: int, m: int) -> int:
-        for pair, mult in self.support:
-            if pair == (n, m):
-                return mult
-        return 0
+        return self._lookup.get((n, m), 0)
 
     def as_dict(self) -> dict:
-        return dict(self.support)
+        return dict(self._lookup)
 
     def lines(self) -> list[str]:
         return ["(%d, %d): %d" % (pair[0], pair[1], mult)
@@ -65,8 +65,8 @@ def psi(invariant: AGInvariant, n: int) -> int:
     """Sum of the (0, d) multiplicities over the divisors d of n."""
     if n < 1:
         raise ValueError("psi is defined for n >= 1")
-    return sum(invariant.multiplicity(0, d)
-               for d in range(1, n + 1) if n % d == 0)
+    return sum(mult for (first, d), mult in invariant.support
+               if first == 0 and d >= 1 and n % d == 0)
 
 
 def hh_dims_ladkani(invariant: AGInvariant, q0: int, q1: int,

@@ -16,6 +16,22 @@ The complex is assembled once, over the integers and independent of the
 characteristic, with sparse differentials: the row of a pair (rho, delta)
 has at most two entries, found by dict lookup.  The characteristic enters
 only in :func:`hh_dims_oracle`, at the rank step.
+
+Only one verified period is built.  When the presentation's zero paths
+repeat (``GentlePresentation.periodic``: AP_{n+3} is AP_n with one more
+turn in front of each chain, position for position, for n >= 2), so do
+the bases, since the shift keeps both endpoints and hence the parallel
+basis paths.  A row of D_n reads its columns through the tail and the
+head of rho, and for n >= 3 the shift commutes with both: it keeps the
+first and the last arrow, and the tail of a shifted chain is its tail
+shifted, because the turn of the second arrow is the turn of the first
+rotated.  So D_{n+3} is D_n with the sign of the head term flipped, and
+D_{n+6} = D_n for n >= 3 (and D_{n+3} = D_n mod 2).
+:func:`build_complex` then builds degrees 0..9 only, checks the shift
+on the bases it built, D_{n+3} = D_n mod 2 and D_9 == D_3, and every
+later degree reuses the basis size and the rank of the built degree
+congruent to it mod 6.  Presentations whose zero paths do not repeat are
+built up to nmax + 1 by the same loop.
 """
 
 from dataclasses import dataclass
@@ -24,39 +40,51 @@ from .linalg import check_characteristic, nullity, rank
 from .pairs import HHTable, ap_paths, parallel_pairs
 from .quiver import GentlePresentation, Path
 
+PERIOD_START, PERIOD = 3, 6
+BUILT_TOP = PERIOD_START + PERIOD  # one period, plus D_9 to check against D_3
+
 
 @dataclass
 class CochainComplex:
-    """Bases and sparse integer differentials D_1..D_N.
+    """Bases and sparse integer differentials of degrees 0..top_degree.
 
     ``bases[n]`` lists the degree-n parallel pairs; ``differentials[n]``
     (1-indexed) is D_n with one row per pair of bases[n], each row a
     tuple of (column, value) pairs with nonzero values and increasing
-    columns, indexing bases[n-1].
+    columns, indexing bases[n-1].  Both lists hold the built degrees; with
+    a nonzero ``period`` they stop at BUILT_TOP and every later degree is
+    the built one :meth:`built_degree` names.
     """
 
     bases: list
     differentials: list
+    top_degree: int
+    period: int = 0
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.bases) - 1
+    def built_degree(self, n: int) -> int:
+        """The built degree whose basis and differential degree n repeats."""
+        if self.period and n >= PERIOD_START + self.period:
+            return PERIOD_START + (n - PERIOD_START) % self.period
+        return n
 
 
 def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex:
-    """Assemble bases and differentials up to degree nmax + 1.
+    """Assemble bases and differentials up to degree nmax + 1, building
+    degrees 0..BUILT_TOP only when the presentation's zero paths repeat.
 
     Propagates :class:`InfiniteDimensionalError` from basis enumeration.
-    The complex property D_{n+1} D_n = 0 is asserted over the integers.
+    The complex property D_{n+1} D_n = 0 is asserted over the integers on
+    every build, and the period on every build that uses it.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     arrows = presentation.quiver.arrows
     top = nmax + 1
+    period = PERIOD if top > BUILT_TOP and presentation.periodic else 0
 
     bases = []
     differentials = [None]
-    for n in range(top + 1):
+    for n in range(BUILT_TOP + 1 if period else top + 1):
         bases.append(parallel_pairs(presentation, ap_paths(presentation, n)))
         if n == 0:
             continue
@@ -80,15 +108,42 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
             matrix.append(tuple(sorted((c, v) for c, v in entries.items() if v)))
         differentials.append(matrix)
 
-    complex_ = CochainComplex(bases=bases, differentials=differentials)
+    complex_ = CochainComplex(bases=bases, differentials=differentials,
+                              top_degree=top, period=period)
     verify_complex_property(complex_)
+    if period:
+        verify_period(presentation, complex_)
     return complex_
 
 
+def verify_period(presentation: GentlePresentation, complex_: CochainComplex):
+    """Check the period on the degrees built: each bases[n + 3], n >= 2, is
+    bases[n] with every zero path shifted by one turn, position for
+    position and with the same basis path; D_{n+3} = D_n mod 2 for
+    n >= PERIOD_START; and the last built differential equals the one a
+    period below, row for row."""
+    bases, differentials = complex_.bases, complex_.differentials
+    for n in range(2, len(bases) - 3):
+        shifted = [(presentation.shift(rho), gamma) for rho, gamma in bases[n]]
+        if bases[n + 3] != shifted:
+            raise AssertionError(
+                "bases[%d] is not bases[%d] shifted by one turn" % (n + 3, n))
+
+    def mod2(rows):
+        return [tuple(col for col, value in row if value % 2) for row in rows]
+
+    last = len(differentials) - 1
+    for n in range(PERIOD_START, last - 2):
+        if mod2(differentials[n + 3]) != mod2(differentials[n]):
+            raise AssertionError("D_%d != D_%d mod 2" % (n + 3, n))
+    if differentials[last] != differentials[last - complex_.period]:
+        raise AssertionError("D_%d != D_%d" % (last, last - complex_.period))
+
+
 def verify_complex_property(complex_: CochainComplex):
-    """Check D_{n+1} . D_n = 0 over the integers for every degree, in time
-    proportional to the number of nonzero products."""
-    for n in range(1, complex_.top_degree):
+    """Check D_{n+1} . D_n = 0 over the integers for every built degree, in
+    time proportional to the number of nonzero products."""
+    for n in range(1, len(complex_.differentials) - 1):
         d_n = complex_.differentials[n]
         for row, entries in enumerate(complex_.differentials[n + 1]):
             totals = {}
@@ -106,15 +161,17 @@ def hh_dims_oracle(complex_: CochainComplex, characteristic: int) -> HHTable:
     (characteristic 0) or GF(characteristic).
 
     HH^0 is the kernel dimension of D_1 and HH^n the kernel of D_{n+1}
-    minus the rank of D_n; all ranks by exact sparse elimination.
+    minus the rank of D_n; all ranks by exact sparse elimination, once
+    per built degree.
     """
     check_characteristic(characteristic)
     bases, differentials = complex_.bases, complex_.differentials
+    degree = [complex_.built_degree(n) for n in range(complex_.top_degree + 1)]
     hh0 = nullity(differentials[1], len(bases[0]), characteristic)
-    ranks = [0, len(bases[0]) - hh0] + [
-        rank(differentials[n], characteristic)
-        for n in range(2, complex_.top_degree + 1)]
-    dims = [len(bases[n]) - ranks[n + 1] - ranks[n]
+    ranks = {0: 0, 1: len(bases[0]) - hh0}
+    for m in sorted(set(degree[2:])):
+        ranks[m] = rank(differentials[m], characteristic)
+    dims = [len(bases[degree[n]]) - ranks[degree[n + 1]] - ranks[degree[n]]
             for n in range(complex_.top_degree)]
     return HHTable(characteristic=characteristic, dims=tuple(dims), method="oracle",
                    tail_note="exact kernel/rank computation")

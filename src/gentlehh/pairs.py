@@ -9,9 +9,19 @@ elsewhere are validated against these counts.
 
 Coinvariant dimensions are counted as rotation orbits, since rotation
 permutes the cyclic pairs: the rr method does no linear algebra.
+
+Only one verified period of degrees is enumerated.  When the zero paths
+repeat (``GentlePresentation.periodic``: AP_{n+3} is AP_n with one more
+turn in front of each chain, for n >= 2), the shift is a bijection from
+the degree-n pairs onto the degree-(n+3) pairs that keeps the first and
+the last arrow of rho, both endpoints and the basis path, which is all
+the zero_zero, empty_incomplete, complete and complete0 predicates read;
+on a complete chain it also commutes with rotation, so the orbits match
+too.  :func:`hh_dims_rr` then enumerates degrees 0..5, checks the counts
+of degree 5 against degree 2, and repeats degrees 3..5 with period 3.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 # unused here, but bench/tracer.py wraps gentlehh.pairs.rank by name
 from .linalg import check_characteristic, rank  # noqa: F401
@@ -40,7 +50,9 @@ class ParallelPairFamily:
     consecutive pairs are relations), ``pairs`` the parallel pairs of a
     zero path with a basis path.  The remaining fields are the subfamilies
     feeding the dimension formula; ``set_a`` is only populated in degree 0
-    and ``loop_pairs`` is degree independent.
+    and ``loop_pairs`` is degree independent.  :func:`rr_sets` also
+    records the number of rotation orbits of ``gentle_complete``, outside
+    the fields.
     """
 
     degree: int
@@ -54,6 +66,10 @@ class ParallelPairFamily:
     gentle_complete: tuple[tuple[Path, Path], ...]
     empty_incomplete: tuple[tuple[Path, Path], ...]
     loop_pairs: tuple[tuple[Path, Path], ...]
+    gentle_orbits: InitVar[int | None] = None
+
+    def __post_init__(self, gentle_orbits):
+        object.__setattr__(self, "_gentle_orbits", gentle_orbits)
 
 
 def ap_paths(presentation: GentlePresentation, n: int) -> list[Path]:
@@ -109,25 +125,11 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
     ap = ap_paths(presentation, n)
     pairs = tuple(parallel_pairs(presentation, ap))
 
-    def fully_annihilated(gamma):
-        # every composable arrow hits a relation on that side
-        if not gamma.arrows:
-            return (not quiver.incoming(gamma.source)
-                    and not quiver.outgoing(gamma.source))
-        first, last = gamma.arrows[0], gamma.arrows[-1]
-        for b in quiver.incoming(quiver.arrows[first].source):
-            if (b.idx, first) not in relations:
-                return False
-        for b in quiver.outgoing(quiver.arrows[last].target):
-            if (last, b.idx) not in relations:
-                return False
-        return True
-
     set_a = ()
     if n == 0:
         set_a = tuple(
             (rho, gamma) for rho, gamma in pairs
-            if gamma.arrows and fully_annihilated(gamma))
+            if gamma.arrows and presentation.annihilated(gamma))
 
     zero_zero = ()
     if n >= 1:
@@ -135,9 +137,10 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
             (rho, gamma) for rho, gamma in pairs
             if (not gamma.arrows or gamma.arrows[0] != rho.arrows[0])
             and (not gamma.arrows or gamma.arrows[-1] != rho.arrows[-1])
-            and fully_annihilated(gamma))
+            and presentation.annihilated(gamma))
 
     complete, incomplete, complete0, gentle_complete, empty_incomplete = (), (), (), (), ()
+    gentle_orbits = 0
     if n >= 1:
         cyclic = [(rho, gamma) for rho, gamma in pairs if not gamma.arrows]
         complete = tuple(
@@ -168,23 +171,22 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
             assert complete_set.issuperset(orbit)  # rotation maps complete to itself
             if complete0_set.issuperset(orbit):
                 gentle.update(orbit)
+                gentle_orbits += 1
         gentle_complete = tuple((rho, gamma) for rho, gamma in complete
                                 if rho in gentle)
 
-        relation_midpoints = {quiver.arrows[a].target for a, _ in relations}
         empty_incomplete = tuple(
             (rho, gamma) for rho, gamma in incomplete
-            if rho.source not in relation_midpoints)
-
-    loop_pairs = tuple(
-        (Path(a.source, (a.idx,)), Path(a.source, ()))
-        for a in quiver.arrows if a.source == a.target)
+            if rho.source not in presentation.relation_midpoints)
 
     return ParallelPairFamily(
         degree=n, ap=tuple(ap), pairs=pairs, set_a=set_a,
         zero_zero=zero_zero, complete=complete, incomplete=incomplete,
         complete0=complete0, gentle_complete=gentle_complete,
-        empty_incomplete=empty_incomplete, loop_pairs=loop_pairs)
+        empty_incomplete=empty_incomplete,
+        loop_pairs=tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
+                         for a in presentation.loops),
+        gentle_orbits=gentle_orbits)
 
 
 def pair_order(presentation: GentlePresentation, pair) -> int:
@@ -198,12 +200,15 @@ def coinvariant_dim(presentation: GentlePresentation, n: int,
     """Dimension of the rotation coinvariants of the degree-n gentle
     complete family, counted as its rotation orbits: rotation permutes the
     family, so over every field the cokernel of (1 - rotation) is free on
-    the orbits, and the characteristic (validated) cannot change it."""
+    the orbits, and the characteristic (validated) cannot change it.  The
+    count :func:`rr_sets` recorded is used when the family has one."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_characteristic(characteristic)
     if family is None:
         family = rr_sets(presentation, n)
+    if family._gentle_orbits is not None:
+        return family._gentle_orbits
     return len(_orbits(presentation, (rho for rho, _ in family.gentle_complete)))
 
 
@@ -214,6 +219,10 @@ def parity_weights(characteristic: int, n: int) -> tuple[int, int]:
     return (1, 0) if n % 2 == 0 else (0, 1)
 
 
+# Degrees 2..4 are one period of the rr counts; degree 5 is checked against 2.
+RR_BUILT_TOP = 5
+
+
 def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
                nmax: int) -> HHTable:
     """Hochschild dimensions from the pair-family counts.
@@ -221,25 +230,36 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     Degree 0 counts the annihilated cycle pairs, degree 1 corrects the
     arrow surplus (plus the loop count in characteristic 2), and degree
     n >= 2 combines the two family counts with the parity-weighted
-    coinvariant dimensions of degrees n and n-1.
+    coinvariant dimensions of degrees n and n-1.  When the zero paths
+    repeat, degrees past RR_BUILT_TOP repeat the counts three below.
     """
     check_characteristic(characteristic)
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    families = {n: rr_sets(presentation, n) for n in range(nmax + 1)}
-    coinv = {n: coinvariant_dim(presentation, n, characteristic, families[n])
-             for n in range(1, nmax + 1)}
+    periodic = nmax > RR_BUILT_TOP and presentation.periodic
+    families = [rr_sets(presentation, n)
+                for n in range(RR_BUILT_TOP + 1 if periodic else nmax + 1)]
+    # (zero_zero, empty_incomplete, gentle complete orbits) per degree >= 1
+    counts = [None] + [
+        (len(f.zero_zero), len(f.empty_incomplete),
+         coinvariant_dim(presentation, f.degree, characteristic, f))
+        for f in families[1:]]
+    if periodic:
+        if counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
+            raise AssertionError("rr counts of degree %d differ from degree %d"
+                                 % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
+        for n in range(RR_BUILT_TOP + 1, nmax + 1):
+            counts.append(counts[n - 3])
     quiver = presentation.quiver
 
     dims = [1 + len(families[0].set_a)]
-    hh1 = 1 + len(families[1].zero_zero) + len(quiver.arrows) - len(quiver.vertices)
+    hh1 = 1 + counts[1][0] + len(quiver.arrows) - len(quiver.vertices)
     if characteristic == 2:
         hh1 += len(families[1].loop_pairs)
     dims.append(hh1)
     for n in range(2, nmax + 1):
         a, b = parity_weights(characteristic, n)
-        dims.append(len(families[n].zero_zero)
-                    + len(families[n].empty_incomplete)
-                    + a * coinv[n] + b * coinv[n - 1])
+        zero_zero, empty_incomplete, orbits = counts[n]
+        dims.append(zero_zero + empty_incomplete + a * orbits + b * counts[n - 1][2])
     return HHTable(characteristic=characteristic, dims=tuple(dims),
                    method="rr", tail_note="computed degree by degree")

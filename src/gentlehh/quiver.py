@@ -82,10 +82,14 @@ class GentlePresentation:
     """A bound quiver (Q, I) with quadratic monomial relations.
 
     ``relations`` is the set of forbidden length-two arrow pairs; the path
-    basis is every path containing none of them, enumerated lazily.  Two
-    more caches live and die with the presentation: the zero-path levels
-    (AP_n is extended from AP_{n-1} when first asked for) and ``parallel``,
-    the basis paths indexed by (source, target) in basis order.
+    basis is every path containing none of them, enumerated lazily.  More
+    caches live and die with the presentation: the zero-path levels (AP_n
+    is extended from AP_{n-1} when first asked for), ``parallel``, the
+    basis paths indexed by (source, target) in basis order, and
+    ``periodic``, whether the levels repeat under :meth:`shift`.  What no
+    degree changes is computed at construction: the loops, the middle
+    vertices of relations, the arrows :meth:`annihilated` reads, and the
+    relation 3-cycles :meth:`shift` turns around.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
@@ -96,8 +100,46 @@ class GentlePresentation:
             a, b = quiver.arrows[first], quiver.arrows[second]
             if a.target != b.source:
                 raise ValueError("relation %d,%d is not a composable pair" % (first, second))
-        self._basis = self._parallel = None
+        self._basis = self._parallel = self._periodic = None
         self._zero_paths = []
+        self.loops = tuple(a for a in quiver.arrows if a.source == a.target)
+        self.relation_midpoints = frozenset(
+            quiver.arrows[first].target for first, _ in self.relations)
+        # arrows every arrow composing into them (left) or out of them
+        # (right) meets in a relation, and the vertices without arrows
+        self._left_closed = frozenset(
+            a.idx for a in quiver.arrows
+            if all((b.idx, a.idx) in self.relations for b in quiver.incoming(a.source)))
+        self._right_closed = frozenset(
+            a.idx for a in quiver.arrows
+            if all((a.idx, b.idx) in self.relations for b in quiver.outgoing(a.target)))
+        self._isolated = frozenset(
+            v for v in range(len(quiver.vertices))
+            if not quiver.incoming(v) and not quiver.outgoing(v))
+        # arrow -> the arrows it composes with to a relation
+        self._after = after = {}
+        for first, second in self.relations:
+            after.setdefault(first, []).append(second)
+
+        # a -> (a, b, c) when b is the only relation successor of a, c the
+        # only one of b and a the only one of c: one turn of a relation 3-cycle
+        def single(a):
+            return after[a][0] if len(after.get(a, ())) == 1 else None
+
+        self._turns = {}
+        for a in after:
+            b = single(a)
+            c = single(b)
+            if single(c) == a:
+                self._turns[a] = (a, b, c)
+
+    def annihilated(self, gamma: Path) -> bool:
+        """Whether every arrow composable with gamma, on either side, meets
+        it in a relation; a trivial path is annihilated when no arrow
+        starts or ends at its vertex."""
+        if not gamma.arrows:
+            return gamma.source in self._isolated
+        return gamma.arrows[0] in self._left_closed and gamma.arrows[-1] in self._right_closed
 
     def path_target(self, path: Path) -> int:
         if not path.arrows:
@@ -128,14 +170,39 @@ class GentlePresentation:
         levels = self._zero_paths
         if not levels:
             levels.append(tuple(Path(v, ()) for v in range(len(self.quiver.vertices))))
-            levels.append(tuple(sorted((Path(a.source, (a.idx,)) for a in self.quiver.arrows),
-                                       key=Path.sort_key)))
+            levels.append(tuple(sorted(Path(a.source, (a.idx,)) for a in self.quiver.arrows)))
+        # paths of one length sort as tuples (source, arrows), which is path order
         while len(levels) <= n:
             levels.append(tuple(sorted(
-                (Path(p.source, p.arrows + (b.idx,)) for p in levels[-1]
-                 for b in self.quiver.outgoing(self.path_target(p))
-                 if (p.arrows[-1], b.idx) in self.relations), key=Path.sort_key)))
+                Path(p.source, p.arrows + (b,)) for p in levels[-1]
+                for b in self._after.get(p.arrows[-1], ()))))
         return levels[n]
+
+    def shift(self, rho: Path) -> Path:
+        """The zero path rho with one more full turn around the relation
+        3-cycle a -> b -> c of its first arrow a, inserted in front: a b ...
+        becomes a b c a b ...  The first arrow, the last arrow, the source
+        and the target stay, so the parallel basis paths stay too."""
+        return Path(rho.source, self._turns[rho.arrows[0]] + rho.arrows)
+
+    @property
+    def periodic(self) -> bool:
+        """Whether AP_{n+3} is AP_n shifted, position for position, for every
+        n >= 2; checked once, on AP_5 against AP_2.
+
+        One check covers every degree by induction: AP_{n+1} is AP_n
+        extended by the arrows b with (last arrow, b) a relation, so it
+        depends on AP_n only through last arrows, and the shift keeps the
+        last arrow and both endpoints, commutes with appending an arrow and
+        keeps the path order.  A chain of AP_n, n >= 2, starts with a chain
+        of AP_2, so every first arrow has its turn.
+        """
+        if self._periodic is None:
+            low = self.zero_paths(2)
+            self._periodic = (
+                all(rho.arrows[0] in self._turns for rho in low)
+                and self.zero_paths(5) == tuple(self.shift(rho) for rho in low))
+        return self._periodic
 
     def dimension(self) -> int:
         return len(self.basis)

@@ -103,8 +103,9 @@ class BoundaryProfile:
 @dataclass(frozen=True)
 class TriangulatedSurface:
     """A validated, immutable triangulation with its genus and Euler
-    characteristic; the module functions derive the other counts (internal
-    triangles, boundary profiles) from the triangles on each call."""
+    characteristic.  The census the formulas read (internal triangles,
+    single-boundary-side triangles, boundary profiles) is computed once by
+    :func:`build_surface` and served by the module accessors."""
 
     name: str
     triangles: tuple[Triangle, ...]
@@ -116,6 +117,9 @@ class TriangulatedSurface:
     euler_char: int
     # occurrences: arc label -> the two (triangle, position) side slots
     _arc_occurrences: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    _internal: frozenset = field(repr=False, compare=False, default=frozenset())
+    _sint: int = field(repr=False, compare=False, default=0)
+    _profiles: tuple = field(repr=False, compare=False, default=())
 
 
 def _label_key(label: str):
@@ -197,8 +201,9 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
         raise UnsupportedSurface(
             "%s: surface has no arcs; the associated quiver would be empty"
             % data.name)
-    for t_idx, tri in enumerate(triangles):
-        if _side_count_by_kind(tri)[BOUNDARY] == 3:
+    counts = [_side_count_by_kind(tri) for tri in triangles]
+    for t_idx, count in enumerate(counts):
+        if count[BOUNDARY] == 3:
             raise UnsupportedSurface(
                 "triangle %d has three boundary sides" % t_idx)
 
@@ -238,6 +243,9 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
         genus=genus,
         euler_char=euler,
         _arc_occurrences=arc_occurrences,
+        _internal=frozenset(i for i, c in enumerate(counts) if c[ARC] == 3),
+        _sint=sum(1 for c in counts if c[BOUNDARY] == 1),
+        _profiles=_boundary_profiles(triangles, components),
     )
 
 
@@ -347,10 +355,9 @@ def _boundary_components(triangles) -> tuple[BoundaryComponent, ...]:
     return tuple(components)
 
 
-def internal_triangles(surface: TriangulatedSurface) -> set[int]:
+def internal_triangles(surface: TriangulatedSurface) -> frozenset[int]:
     """Ids of triangles whose three sides are all arcs."""
-    return {i for i, tri in enumerate(surface.triangles)
-            if _side_count_by_kind(tri)[ARC] == 3}
+    return surface._internal
 
 
 def sint_count(surface: TriangulatedSurface) -> int:
@@ -360,38 +367,32 @@ def sint_count(surface: TriangulatedSurface) -> int:
     to the quiver, which is what ties this count to the arrow total
     ``3*|internal| + sint``.
     """
-    return sum(1 for tri in surface.triangles
-               if _side_count_by_kind(tri)[BOUNDARY] == 1)
+    return surface._sint
 
 
-def arc_incident_points(surface: TriangulatedSurface) -> set[str]:
-    """Marked points that are an endpoint of at least one arc."""
-    points = set()
-    for tri in surface.triangles:
-        for side in tri.sides:
-            if side.kind == ARC:
-                points.add(side.src)
-                points.add(side.dst)
-    return points
-
-
-def classify_boundaries(surface: TriangulatedSurface) -> list[BoundaryProfile]:
+def classify_boundaries(surface: TriangulatedSurface) -> tuple[BoundaryProfile, ...]:
     """Profile every boundary component by its arc incidence.
 
     The pair ``(n_incident, m_segments)`` is the component's contribution to
     the derived invariant; ``(1, 0)`` and ``(1, 1)`` are the two shapes that
     correct HH^0 and HH^1.
     """
-    incident = arc_incident_points(surface)
+    return surface._profiles
+
+
+def _boundary_profiles(triangles, components) -> tuple[BoundaryProfile, ...]:
+    # marked points that are an endpoint of at least one arc
+    incident = {point for tri in triangles for side in tri.sides if side.kind == ARC
+                for point in (side.src, side.dst)}
     profiles = []
-    for idx, comp in enumerate(surface.boundary_components):
+    for idx, comp in enumerate(components):
         n_inc = sum(1 for p in comp.points if p in incident)
         k = len(comp.points)
         m_seg = sum(
             1 for i in range(len(comp.segments))
             if comp.points[i] in incident and comp.points[(i + 1) % k] in incident)
         profiles.append(BoundaryProfile(idx, n_inc, m_seg))
-    return profiles
+    return tuple(profiles)
 
 
 def boundary_type_counts(profiles) -> tuple[int, int]:

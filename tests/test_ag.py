@@ -113,3 +113,21 @@ def test_no_pairs_one_n_with_n_at_least_two_on_corpus():
 def test_serialized_lines_sorted():
     inv = AGInvariant.from_counts({(1, 1): 2, (0, 3): 3, (1, 0): 1})
     assert inv.lines() == ["(0, 3): 3", "(1, 0): 1", "(1, 1): 2"]
+
+
+def test_multiplicity_and_psi_match_the_support_scan():
+    import random
+    rng = random.Random(3)
+    for _ in range(200):
+        counts = {(rng.randrange(3), rng.randrange(8)): rng.randrange(4)
+                  for _ in range(rng.randrange(6))}
+        inv = AGInvariant.from_counts(counts)
+
+        def scanned(n, m):
+            return sum(mult for pair, mult in inv.support if pair == (n, m))
+
+        for n in range(3):
+            for m in range(8):
+                assert inv.multiplicity(n, m) == scanned(n, m)
+        for n in range(1, 25):
+            assert psi(inv, n) == sum(scanned(0, d) for d in range(1, n + 1) if n % d == 0)

@@ -313,3 +313,11 @@ def test_orbit_counts_match_the_rank_and_the_rotation_order(group):
             for pair in family.complete:
                 assert pair_order(p, pair) == reference_pair_order(p, pair[0]), \
                     (name, n, pair)
+
+
+def test_a_family_without_a_recorded_orbit_count_is_walked():
+    for name, make in brute_force_instances("fixtures"):
+        p = make()
+        for n in range(1, 10):
+            assert coinvariant_dim(p, n, 0, reference_rr_sets(p, n)) == \
+                coinvariant_dim(p, n, 0, rr_sets(p, n)), (name, n)

@@ -1,0 +1,205 @@
+"""One verified period against the degree-by-degree reference.
+
+build_complex and hh_dims_rr build one period of degrees and reuse it when
+a presentation's zero paths repeat.  The references here are the
+unverified full builds: every degree of the complex assembled and ranked
+up to nmax + 1, and the rr formula over rr_sets of every degree.
+"""
+
+import pytest
+from test_cochain import random_polygon
+from test_pairs import extra_relation_presentation
+
+from gentlehh import (Arrow, GentlePresentation, Path, Quiver, build_complex,
+                      build_quiver, build_surface, builtin_fixtures,
+                      coinvariant_dim, fixture_by_name,
+                      generate_polygon_triangulations, hh_dims_oracle,
+                      hh_dims_rr, rr_sets, verify_period)
+from gentlehh import pairs as pairs_module
+from gentlehh.cochain import BUILT_TOP
+from gentlehh.linalg import nullity, rank
+from gentlehh.pairs import RR_BUILT_TOP, parity_weights
+
+CHARS = (0, 2, 3, 5)
+
+
+def reference_complex(p, nmax):
+    """Bases and D_1..D_{nmax+1}, every degree assembled."""
+    arrows = p.quiver.arrows
+    bases, differentials = [], [None]
+    for n in range(nmax + 2):
+        bases.append([(rho, gamma) for rho in p.zero_paths(n)
+                      for gamma in p.parallel.get((rho.source, p.path_target(rho)), ())])
+        if n == 0:
+            continue
+        columns = {pair: i for i, pair in enumerate(bases[n - 1])}
+        sign = -1 if n % 2 else 1
+        rows = []
+        for rho, delta in bases[n]:
+            entries = {}
+            if delta.arrows and delta.arrows[0] == rho.arrows[0]:
+                tail = Path(arrows[rho.arrows[0]].target, rho.arrows[1:])
+                entries[columns[(tail, Path(tail.source, delta.arrows[1:]))]] = 1
+            if delta.arrows and delta.arrows[-1] == rho.arrows[-1]:
+                head = Path(rho.source, rho.arrows[:-1])
+                col = columns[(head, Path(delta.source, delta.arrows[:-1]))]
+                entries[col] = entries.get(col, 0) + sign
+            rows.append(tuple(sorted((c, v) for c, v in entries.items() if v)))
+        differentials.append(rows)
+    return bases, differentials
+
+
+def reference_oracle(bases, differentials, char):
+    ranks = [0, len(bases[0]) - nullity(differentials[1], len(bases[0]), char)]
+    ranks += [rank(differentials[n], char) for n in range(2, len(differentials))]
+    return tuple(len(bases[n]) - ranks[n + 1] - ranks[n] for n in range(len(bases) - 1))
+
+
+def reference_rr(p, char, nmax):
+    families = [rr_sets(p, n) for n in range(nmax + 1)]
+    coinv = [0] + [coinvariant_dim(p, n, char, families[n]) for n in range(1, nmax + 1)]
+    dims = [1 + len(families[0].set_a),
+            1 + len(families[1].zero_zero) + len(p.quiver.arrows) - len(p.quiver.vertices)
+            + (len(families[1].loop_pairs) if char == 2 else 0)]
+    for n in range(2, nmax + 1):
+        a, b = parity_weights(char, n)
+        dims.append(len(families[n].zero_zero) + len(families[n].empty_incomplete)
+                    + a * coinv[n] + b * coinv[n - 1])
+    return tuple(dims)
+
+
+def chain_presentation(length):
+    """Not from a surface: the path 0 -> 1 -> ... -> length with every
+    composable pair a relation, so the zero paths stop at degree length
+    and never repeat."""
+    arrows = tuple(Arrow(i, i, i + 1) for i in range(length))
+    return GentlePresentation(Quiver(tuple("v%d" % i for i in range(length + 1)), arrows),
+                              (), {(i, i + 1) for i in range(length - 1)})
+
+
+def instances(group):
+    """(name, presentation factory, nmax) for one group."""
+    if group == "fixtures":
+        surfaces = [(f.name, f.surface()) for f in builtin_fixtures()]
+    elif group == "polygons 4..8":
+        surfaces = [(d.name, build_surface(d)) for n in range(4, 9)
+                    for d in generate_polygon_triangulations(n)]
+    elif group == "60-gon":
+        surfaces = [("60-gon", random_polygon(60, 11))]
+    elif group.startswith("torus-T1"):
+        nmax = int(group.split()[-1])
+        surface = fixture_by_name("torus-T1").surface()
+        return [("torus-T1", lambda: build_quiver(surface), nmax)]
+    else:
+        made = [("chain 4", lambda: chain_presentation(4))]
+        made += [("%s at v%d" % (side, k), lambda side=side, k=k: extra_relation_presentation(side, k))
+                 for side in ("in", "out") for k in (0, 1)]
+        return [(name, make, 30) for name, make in made]
+    return [(name, lambda s=s: build_quiver(s), 20) for name, s in surfaces]
+
+
+GROUPS = ("fixtures", "polygons 4..8", "60-gon", "torus-T1 nmax 60",
+          "torus-T1 nmax 240", "not periodic")
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_periodic_tables_equal_the_full_build(group):
+    for name, make, nmax in instances(group):
+        p, reference = make(), make()
+        assert p.periodic == (group != "not periodic"), name
+        complex_ = build_complex(p, nmax)
+        full = reference_complex(reference, nmax)
+        for char in CHARS:
+            assert hh_dims_oracle(complex_, char).dims == reference_oracle(*full, char), \
+                (name, char)
+            assert hh_dims_rr(p, char, nmax).dims == reference_rr(reference, char, nmax), \
+                (name, char)
+
+
+@pytest.mark.parametrize("group", GROUPS[:3])
+def test_zero_paths_and_differentials_repeat_on_surfaces(group):
+    for name, make, nmax in instances(group):
+        p = make()
+        for n in range(2, nmax - 2):
+            assert p.zero_paths(n + 3) == tuple(p.shift(rho) for rho in p.zero_paths(n)), \
+                (name, n)
+        _, differentials = reference_complex(p, nmax)
+        for n in range(3, nmax - 4):
+            assert differentials[n + 6] == differentials[n], (name, n)
+
+
+def test_built_degrees_do_not_grow_with_nmax():
+    surfaces = ([f.surface() for f in builtin_fixtures()]
+                + [build_surface(d) for d in generate_polygon_triangulations(7)]
+                + [random_polygon(60, 11)])
+    for surface in surfaces:
+        p = build_quiver(surface)
+        sizes = set()
+        for nmax in (13, 60, 240):
+            complex_ = build_complex(p, nmax)
+            assert complex_.top_degree == nmax + 1
+            assert len(complex_.bases) == len(complex_.differentials) <= 10
+            sizes.add(len(complex_.bases))
+        assert sizes == {BUILT_TOP + 1}, surface.name
+
+
+def test_rr_enumerates_one_period(monkeypatch):
+    degrees = []
+    original = pairs_module.rr_sets
+
+    def counting(presentation, n):
+        degrees.append(n)
+        return original(presentation, n)
+
+    monkeypatch.setattr(pairs_module, "rr_sets", counting)
+    hh_dims_rr(build_quiver(fixture_by_name("torus-T1").surface()), 0, 240)
+    assert degrees == list(range(RR_BUILT_TOP + 1))
+
+
+def test_presentation_without_a_period_builds_every_degree():
+    complex_ = build_complex(chain_presentation(4), 30)
+    assert complex_.period == 0
+    assert len(complex_.bases) == complex_.top_degree + 1 == 32
+
+
+def torus_complex():
+    p = build_quiver(fixture_by_name("torus-T1").surface())
+    return p, build_complex(p, 240)
+
+
+@pytest.mark.parametrize("degree", range(3, BUILT_TOP + 1))
+def test_a_perturbed_row_in_the_built_period_raises(degree):
+    p, complex_ = torus_complex()
+    verify_period(p, complex_)
+    rows = complex_.differentials[degree]
+    k = next(k for k, row in enumerate(rows) if row)
+    (col, value), *rest = rows[k]
+    rows[k] = ((col, 2 * value), *rest)
+    with pytest.raises(AssertionError, match="D_"):
+        verify_period(p, complex_)
+
+
+def test_a_wrong_shift_raises(monkeypatch):
+    p, complex_ = torus_complex()
+    bases = complex_.bases[5]
+    bases[0], bases[-1] = bases[-1], bases[0]
+    with pytest.raises(AssertionError, match="bases"):
+        verify_period(p, complex_)
+
+    p = build_quiver(fixture_by_name("torus-T1").surface())
+    assert p.periodic
+    two_thirds_of_a_turn = lambda rho: Path(rho.source, rho.arrows[:2] + rho.arrows)  # noqa: E731
+    monkeypatch.setattr(p, "shift", two_thirds_of_a_turn)
+    with pytest.raises(AssertionError, match="bases"):
+        build_complex(p, 240)
+
+
+def test_rr_counts_that_break_the_period_raise(monkeypatch):
+    original = pairs_module.coinvariant_dim
+
+    def off_by_one_at_the_check(presentation, n, characteristic=0, family=None):
+        return original(presentation, n, characteristic, family) + (n == RR_BUILT_TOP)
+
+    monkeypatch.setattr(pairs_module, "coinvariant_dim", off_by_one_at_the_check)
+    with pytest.raises(AssertionError, match="rr counts"):
+        hh_dims_rr(build_quiver(fixture_by_name("torus-T1").surface()), 0, 60)

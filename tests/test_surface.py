@@ -183,3 +183,31 @@ def test_rebuild_from_serialized_form_is_identity():
         assert s1.boundary_components == s2.boundary_components
         assert internal_triangles(s1) == internal_triangles(s2)
         assert sint_count(s1) == sint_count(s2)
+
+
+def test_census_is_computed_once_and_kept_immutable():
+    from gentlehh import builtin_fixtures, generate_polygon_triangulations
+    surfaces = [fx.surface() for fx in builtin_fixtures()]
+    surfaces += [build_surface(d) for n in range(4, 8)
+                 for d in generate_polygon_triangulations(n)]
+    for s in surfaces:
+        kinds = [[side.kind for side in t.sides] for t in s.triangles]
+        incident = {p for t in s.triangles for side in t.sides if side.kind == "arc"
+                    for p in (side.src, side.dst)}
+        profiles = []
+        for comp in s.boundary_components:
+            k = len(comp.points)
+            profiles.append((
+                sum(1 for p in comp.points if p in incident),
+                sum(1 for i in range(k)
+                    if comp.points[i] in incident and comp.points[(i + 1) % k] in incident)))
+        assert internal_triangles(s) == {i for i, k in enumerate(kinds)
+                                         if k.count("arc") == 3}
+        assert sint_count(s) == sum(1 for k in kinds if k.count("boundary") == 1)
+        assert [(p.component, p.n_incident, p.m_segments)
+                for p in classify_boundaries(s)] == [
+                    (i, n, m) for i, (n, m) in enumerate(profiles)]
+        assert isinstance(internal_triangles(s), frozenset)
+        assert isinstance(classify_boundaries(s), tuple)
+        assert internal_triangles(s) is internal_triangles(s)
+        assert classify_boundaries(s) is classify_boundaries(s)
