@@ -8,21 +8,17 @@ Matching invariants never proves derived equivalence; a mismatch disproves
 it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import check_characteristic
 from .pairs import HHTable, parity_weights
 from .surface import TriangulatedSurface, classify_boundaries, internal_triangles
 
 
-@dataclass(frozen=True)
-class AGInvariant:
+class AGInvariant(NamedTuple):
     """Support pairs (n, m) with their multiplicities, sorted."""
 
     support: tuple[tuple[tuple[int, int], int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.support))
 
     @staticmethod
     def from_counts(counts: dict) -> "AGInvariant":
@@ -30,18 +26,21 @@ class AGInvariant:
         return AGInvariant(tuple(sorted(cleaned.items())))
 
     def multiplicity(self, n: int, m: int) -> int:
-        return self._lookup.get((n, m), 0)
+        # a short scan: (0, 3) and one pair per distinct boundary profile
+        for pair, mult in self.support:
+            if pair == (n, m):
+                return mult
+        return 0
 
     def as_dict(self) -> dict:
-        return dict(self._lookup)
+        return dict(self.support)
 
     def lines(self) -> list[str]:
         return ["(%d, %d): %d" % (pair[0], pair[1], mult)
                 for pair, mult in self.support]
 
 
-@dataclass(frozen=True)
-class AGComparison:
+class AGComparison(NamedTuple):
     equal: bool
     witness: tuple[tuple[int, int], int, int] | None
     verdict: str

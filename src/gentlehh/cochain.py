@@ -30,11 +30,13 @@ D_{n+6} = D_n for n >= 3 (and D_{n+3} = D_n mod 2).
 :func:`build_complex` then builds degrees 0..9 only, checks the shift
 on the bases it built, D_{n+3} = D_n mod 2 and D_9 == D_3, and every
 later degree reuses the basis size and the rank of the built degree
-congruent to it mod 6.  Presentations whose zero paths do not repeat are
-built up to nmax + 1 by the same loop.
+congruent to it mod 6.  In characteristic 2 the ranks of D_3..D_5 serve
+D_6..D_8 too, since a rank over GF(2) reads the entries mod 2 only.
+Presentations whose zero paths do not repeat are built up to nmax + 1 by
+the same loop.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import check_characteristic, nullity, rank
 from .pairs import HHTable, ap_paths, parallel_pairs
@@ -44,8 +46,7 @@ PERIOD_START, PERIOD = 3, 6
 BUILT_TOP = PERIOD_START + PERIOD  # one period, plus D_9 to check against D_3
 
 
-@dataclass
-class CochainComplex:
+class CochainComplex(NamedTuple):
     """Bases and sparse integer differentials of degrees 0..top_degree.
 
     ``bases[n]`` lists the degree-n parallel pairs; ``differentials[n]``
@@ -162,11 +163,15 @@ def hh_dims_oracle(complex_: CochainComplex, characteristic: int) -> HHTable:
 
     HH^0 is the kernel dimension of D_1 and HH^n the kernel of D_{n+1}
     minus the rank of D_n; all ranks by exact sparse elimination, once
-    per built degree.
+    per built degree, and in characteristic 2 once per degree mod 3 from
+    PERIOD_START on when the complex is periodic (D_{n+3} = D_n mod 2 is
+    verified, and bases[n + 3] has the size of bases[n]).
     """
     check_characteristic(characteristic)
     bases, differentials = complex_.bases, complex_.differentials
     degree = [complex_.built_degree(n) for n in range(complex_.top_degree + 1)]
+    if characteristic == 2 and complex_.period:
+        degree = [m - 3 if m >= PERIOD_START + 3 else m for m in degree]
     hh0 = nullity(differentials[1], len(bases[0]), characteristic)
     ranks = {0: 0, 1: len(bases[0]) - hh0}
     for m in sorted(set(degree[2:])):

@@ -2,8 +2,8 @@
 fixture surfaces."""
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import fileformat
 from .surface import (ARC, BOUNDARY, Side, Triangle, TriangulatedSurface,
@@ -14,12 +14,12 @@ class FixtureCorrupt(Exception):
     """A shipped fixture file failed parsing or surface validation."""
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
+    """A shipped fixture: its triangulation and the tables it expects."""
+
     name: str
     data: TriangulationInput
     expected: dict
-    notes: tuple[str, ...]
 
     def surface(self) -> TriangulatedSurface:
         return build_surface(self.data)
@@ -90,7 +90,6 @@ def load_fixture_document(doc, origin="fixture") -> Fixture:
         name=data.name,
         data=data,
         expected=doc.get("expected", {}),
-        notes=tuple(doc.get("notes", [])),
     )
 
 

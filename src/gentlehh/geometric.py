@@ -7,7 +7,7 @@ profiles.  From degree 2 on the table is |internal| on an eventually
 periodic set of degrees and 0 elsewhere.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import check_characteristic
 from .pairs import HHTable
@@ -15,8 +15,7 @@ from .surface import (TriangulatedSurface, boundary_type_counts,
                       classify_boundaries, internal_triangles, sint_count)
 
 
-@dataclass(frozen=True)
-class GeometricResult:
+class GeometricResult(NamedTuple):
     table: HHTable
     cup_nontrivial: bool
     bracket_nontrivial: bool

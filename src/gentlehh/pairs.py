@@ -21,40 +21,28 @@ too.  :func:`hh_dims_rr` then enumerates degrees 0..5, checks the counts
 of degree 5 against degree 2, and repeats degrees 3..5 with period 3.
 """
 
-from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 # unused here, but bench/tracer.py wraps gentlehh.pairs.rank by name
 from .linalg import check_characteristic, rank  # noqa: F401
 from .quiver import GentlePresentation, Path
 
 
-@dataclass(frozen=True)
-class HHTable:
-    """Hochschild dimensions HH^0..HH^nmax over a fixed characteristic."""
+class HHTable(NamedTuple):
+    """Hochschild dimensions HH^0..HH^nmax over a fixed characteristic,
+    with the method that computed them and a note on how it got the tail."""
 
     characteristic: int
     dims: tuple[int, ...]
-    method: str = field(default="", compare=False)
-    tail_note: str = field(default="", compare=False)
+    method: str = ""
+    tail_note: str = ""
 
     @property
     def nmax(self) -> int:
         return len(self.dims) - 1
 
 
-@dataclass(frozen=True)
-class ParallelPairFamily:
-    """All degree-n pair families of one presentation.
-
-    ``ap`` is the list of degree-n zero paths (arrow chains whose
-    consecutive pairs are relations), ``pairs`` the parallel pairs of a
-    zero path with a basis path.  The remaining fields are the subfamilies
-    feeding the dimension formula; ``set_a`` is only populated in degree 0
-    and ``loop_pairs`` is degree independent.  :func:`rr_sets` also
-    records the number of rotation orbits of ``gentle_complete``, outside
-    the fields.
-    """
-
+class _Families(NamedTuple):
     degree: int
     ap: tuple[Path, ...]
     pairs: tuple[tuple[Path, Path], ...]
@@ -66,10 +54,27 @@ class ParallelPairFamily:
     gentle_complete: tuple[tuple[Path, Path], ...]
     empty_incomplete: tuple[tuple[Path, Path], ...]
     loop_pairs: tuple[tuple[Path, Path], ...]
-    gentle_orbits: InitVar[int | None] = None
 
-    def __post_init__(self, gentle_orbits):
-        object.__setattr__(self, "_gentle_orbits", gentle_orbits)
+
+class ParallelPairFamily(_Families):
+    """All degree-n pair families of one presentation.
+
+    ``ap`` is the list of degree-n zero paths (arrow chains whose
+    consecutive pairs are relations), ``pairs`` the parallel pairs of a
+    zero path with a basis path.  The remaining fields are the subfamilies
+    feeding the dimension formula; ``set_a`` is only populated in degree 0
+    and ``loop_pairs`` is degree independent.  The keyword
+    ``gentle_orbits`` records the number of rotation orbits of
+    ``gentle_complete`` as an attribute, not a field, so ``_fields`` and
+    equality read the families only; it is None when not recorded.
+    """
+
+    gentle_orbits = None
+
+    def __new__(cls, *fields, gentle_orbits: int | None = None, **named):
+        family = super().__new__(cls, *fields, **named)
+        family.gentle_orbits = gentle_orbits
+        return family
 
 
 def ap_paths(presentation: GentlePresentation, n: int) -> list[Path]:
@@ -207,8 +212,8 @@ def coinvariant_dim(presentation: GentlePresentation, n: int,
     check_characteristic(characteristic)
     if family is None:
         family = rr_sets(presentation, n)
-    if family._gentle_orbits is not None:
-        return family._gentle_orbits
+    if family.gentle_orbits is not None:
+        return family.gentle_orbits
     return len(_orbits(presentation, (rho for rho, _ in family.gentle_complete)))
 
 
@@ -231,7 +236,8 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     arrow surplus (plus the loop count in characteristic 2), and degree
     n >= 2 combines the two family counts with the parity-weighted
     coinvariant dimensions of degrees n and n-1.  When the zero paths
-    repeat, degrees past RR_BUILT_TOP repeat the counts three below.
+    repeat, degrees past RR_BUILT_TOP repeat the counts three below, and
+    the tail note says so.
     """
     check_characteristic(characteristic)
     if nmax < 1:
@@ -261,5 +267,7 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
         a, b = parity_weights(characteristic, n)
         zero_zero, empty_incomplete, orbits = counts[n]
         dims.append(zero_zero + empty_incomplete + a * orbits + b * counts[n - 1][2])
+    tail_note = ("degrees 0..%d enumerated, then period 3" % RR_BUILT_TOP
+                 if periodic else "computed degree by degree")
     return HHTable(characteristic=characteristic, dims=tuple(dims),
-                   method="rr", tail_note="computed degree by degree")
+                   method="rr", tail_note=tail_note)

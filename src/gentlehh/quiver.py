@@ -8,7 +8,6 @@ the internal-triangle 3-cycles; its cyclic derivatives are exactly the
 length-two subpaths of those cycles, which generate the relation ideal.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .surface import ARC, TriangulatedSurface, internal_triangles, sint_count
@@ -47,19 +46,19 @@ class Path(NamedTuple):
         return (len(self.arrows), self.source, self.arrows)
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+    """Vertices and arrows, with the adjacency in arrow-id order built once
+    at construction."""
 
-    def __post_init__(self):
-        # adjacency in arrow-id order, built once per quiver
-        outgoing, incoming = {}, {}
-        for a in self.arrows:
-            outgoing.setdefault(a.source, []).append(a)
-            incoming.setdefault(a.target, []).append(a)
-        object.__setattr__(self, "_outgoing", outgoing)
-        object.__setattr__(self, "_incoming", incoming)
+    __slots__ = ("vertices", "arrows", "_outgoing", "_incoming")
+
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        self.vertices = vertices
+        self.arrows = arrows
+        self._outgoing, self._incoming = {}, {}
+        for a in arrows:
+            self._outgoing.setdefault(a.source, []).append(a)
+            self._incoming.setdefault(a.target, []).append(a)
 
     def outgoing(self, vertex: int) -> list[Arrow]:
         return list(self._outgoing.get(vertex, ()))
@@ -72,8 +71,7 @@ class Quiver:
         return "%s->%s" % (self.vertices[a.source], self.vertices[a.target])
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str
     message: str
 

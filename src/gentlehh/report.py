@@ -2,7 +2,7 @@
 requested methods, derived invariant, and the cross-method verdict."""
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .ag import AGInvariant, ag_invariant, hh_dims_ladkani
 from .cochain import build_complex, hh_dims_oracle
@@ -15,8 +15,7 @@ from .surface import (TriangulatedSurface, boundary_type_counts,
 METHODS = ("geometric", "rr", "oracle", "ladkani")
 
 
-@dataclass(frozen=True)
-class SurfaceSummary:
+class SurfaceSummary(NamedTuple):
     genus: int
     boundary_components: int
     marked_points: int
@@ -30,8 +29,7 @@ class SurfaceSummary:
     boundary_pairs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     name: str
     summary: SurfaceSummary
     characteristic: int
@@ -144,7 +142,7 @@ def render_text(report: Report) -> str:
 def as_json_document(report: Report) -> dict:
     return {
         "name": report.name,
-        "surface": asdict(report.summary),
+        "surface": report.summary._asdict(),
         "characteristic": report.characteristic,
         "nmax": report.nmax,
         "methods": {

@@ -8,7 +8,7 @@ formulas consume -- genus, boundary components, internal triangles, boundary
 profiles -- is derived from this gluing data alone.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class SurfaceError(ValueError):
@@ -46,8 +46,7 @@ ARC = "arc"
 BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One oriented side of a triangle."""
 
     label: str
@@ -56,21 +55,18 @@ class Side:
     dst: str
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     sides: tuple[Side, Side, Side]
 
 
-@dataclass(frozen=True)
-class TriangulationInput:
+class TriangulationInput(NamedTuple):
     """Raw, not yet validated triangle gluing data."""
 
     name: str
     triangles: tuple[Triangle, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     """A boundary circle: ``segments[i]`` runs from ``points[i]`` to
     ``points[(i + 1) % len(points)]``."""
 
@@ -78,8 +74,7 @@ class BoundaryComponent:
     segments: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(NamedTuple):
     """Arc-incidence profile of one boundary component.
 
     ``n_incident`` counts marked points on the component touching at least
@@ -100,12 +95,14 @@ class BoundaryProfile:
         return "other"
 
 
-@dataclass(frozen=True)
-class TriangulatedSurface:
+class TriangulatedSurface(NamedTuple):
     """A validated, immutable triangulation with its genus and Euler
-    characteristic.  The census the formulas read (internal triangles,
-    single-boundary-side triangles, boundary profiles) is computed once by
-    :func:`build_surface` and served by the module accessors."""
+    characteristic.  The last three fields are the census the formulas
+    read, computed once by :func:`build_surface` from the triangles: the
+    ids of the internal triangles, the number of triangles with one
+    boundary side, and the boundary profiles.  Read them through
+    :func:`internal_triangles`, :func:`sint_count` and
+    :func:`classify_boundaries`."""
 
     name: str
     triangles: tuple[Triangle, ...]
@@ -115,11 +112,9 @@ class TriangulatedSurface:
     boundary_components: tuple[BoundaryComponent, ...]
     genus: int
     euler_char: int
-    # occurrences: arc label -> the two (triangle, position) side slots
-    _arc_occurrences: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    _internal: frozenset = field(repr=False, compare=False, default=frozenset())
-    _sint: int = field(repr=False, compare=False, default=0)
-    _profiles: tuple = field(repr=False, compare=False, default=())
+    internal: frozenset[int]
+    sint: int
+    profiles: tuple[BoundaryProfile, ...]
 
 
 def _label_key(label: str):
@@ -242,10 +237,9 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
         boundary_components=components,
         genus=genus,
         euler_char=euler,
-        _arc_occurrences=arc_occurrences,
-        _internal=frozenset(i for i, c in enumerate(counts) if c[ARC] == 3),
-        _sint=sum(1 for c in counts if c[BOUNDARY] == 1),
-        _profiles=_boundary_profiles(triangles, components),
+        internal=frozenset(i for i, c in enumerate(counts) if c[ARC] == 3),
+        sint=sum(1 for c in counts if c[BOUNDARY] == 1),
+        profiles=_boundary_profiles(triangles, components),
     )
 
 
@@ -357,7 +351,7 @@ def _boundary_components(triangles) -> tuple[BoundaryComponent, ...]:
 
 def internal_triangles(surface: TriangulatedSurface) -> frozenset[int]:
     """Ids of triangles whose three sides are all arcs."""
-    return surface._internal
+    return surface.internal
 
 
 def sint_count(surface: TriangulatedSurface) -> int:
@@ -367,7 +361,7 @@ def sint_count(surface: TriangulatedSurface) -> int:
     to the quiver, which is what ties this count to the arrow total
     ``3*|internal| + sint``.
     """
-    return surface._sint
+    return surface.sint
 
 
 def classify_boundaries(surface: TriangulatedSurface) -> tuple[BoundaryProfile, ...]:
@@ -377,7 +371,7 @@ def classify_boundaries(surface: TriangulatedSurface) -> tuple[BoundaryProfile, 
     the derived invariant; ``(1, 0)`` and ``(1, 1)`` are the two shapes that
     correct HH^0 and HH^1.
     """
-    return surface._profiles
+    return surface.profiles
 
 
 def _boundary_profiles(triangles, components) -> tuple[BoundaryProfile, ...]:

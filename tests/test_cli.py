@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import json
 import random
 import re
@@ -80,7 +79,7 @@ def test_analyze_json_is_a_superset_of_text(fixture_file, capsys):
     collect(doc)
     for token in re.findall(r"\d+", text):
         assert int(token) in numbers
-    assert list(doc["surface"]) == [f.name for f in dataclasses.fields(SurfaceSummary)]
+    assert list(doc["surface"]) == list(SurfaceSummary._fields)
 
 
 def test_analyze_invalid_file_exits_2(tmp_path, capsys):

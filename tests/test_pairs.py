@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from test_cochain import random_polygon
 
@@ -273,9 +271,11 @@ def test_rr_families_match_the_brute_force_scan(group):
         p = make()
         for n in range(TOP + 1):
             family, reference = rr_sets(p, n), reference_rr_sets(p, n)
-            for f in dataclasses.fields(ParallelPairFamily):
-                assert getattr(family, f.name) == getattr(reference, f.name), \
-                    (name, n, f.name)
+            for field in ParallelPairFamily._fields:
+                assert getattr(family, field) == getattr(reference, field), \
+                    (name, n, field)
+            # the orbit count rr_sets records is not a field
+            assert family == reference and reference.gentle_orbits is None
             if group == "extra relations" and n % 3 == 0 and n:
                 assert (len(family.complete), len(family.complete0)) == (3, 2)
 

@@ -15,6 +15,7 @@ from gentlehh import (Arrow, GentlePresentation, Path, Quiver, build_complex,
                       coinvariant_dim, fixture_by_name,
                       generate_polygon_triangulations, hh_dims_oracle,
                       hh_dims_rr, rr_sets, verify_period)
+from gentlehh import cochain as cochain_module
 from gentlehh import pairs as pairs_module
 from gentlehh.cochain import BUILT_TOP
 from gentlehh.linalg import nullity, rank
@@ -154,6 +155,35 @@ def test_rr_enumerates_one_period(monkeypatch):
     monkeypatch.setattr(pairs_module, "rr_sets", counting)
     hh_dims_rr(build_quiver(fixture_by_name("torus-T1").surface()), 0, 240)
     assert degrees == list(range(RR_BUILT_TOP + 1))
+
+
+@pytest.mark.parametrize("char, ranked", [(0, [2, 3, 4, 5, 6, 7, 8]),
+                                           (2, [2, 3, 4, 5])])
+def test_oracle_ranks_each_differential_of_one_period_once(monkeypatch, char, ranked):
+    # in characteristic 2 the period of the ranks is 3: D_6..D_8 reuse D_3..D_5
+    p = build_quiver(fixture_by_name("torus-T1").surface())
+    complex_ = build_complex(p, 13)
+    degrees = []
+    original = cochain_module.rank
+
+    def counting(rows, characteristic):
+        degrees.append(next(n for n, d in enumerate(complex_.differentials) if d is rows))
+        return original(rows, characteristic)
+
+    monkeypatch.setattr(cochain_module, "rank", counting)
+    table = hh_dims_oracle(complex_, char)
+    assert degrees == ranked
+    assert table.dims == reference_oracle(*reference_complex(p, 13), char)
+
+
+def test_rr_tail_note_names_the_period_only_when_it_is_used():
+    torus = build_quiver(fixture_by_name("torus-T1").surface())
+    for char, nmax in ((0, 13), (2, 60)):
+        assert hh_dims_rr(torus, char, nmax).tail_note == \
+            "degrees 0..5 enumerated, then period 3"
+    assert hh_dims_rr(torus, 0, RR_BUILT_TOP).tail_note == "computed degree by degree"
+    assert hh_dims_rr(chain_presentation(4), 0, 30).tail_note == \
+        "computed degree by degree"
 
 
 def test_presentation_without_a_period_builds_every_degree():
