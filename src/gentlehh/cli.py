@@ -10,6 +10,7 @@ parse or validation failure), 3 cross-method disagreement.
 """
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -106,11 +107,22 @@ def _check_arguments(args):
     if getattr(args, "nmax", 1) < 1:
         raise ValueError("--nmax must be at least 1, got %d" % args.nmax)
     check_characteristic(getattr(args, "char", 0))
+    if getattr(args, "polygon", 4) < 4:
+        raise ValueError("--polygon needs N >= 4, got %d" % args.polygon)
     if getattr(args, "polygons", None):
         args.polygons = _polygon_range(args.polygons)
 
 
+def _polygon_surfaces(lo, hi):
+    """(name, surface) per polygon triangulation, each built when asked for."""
+    for n in range(lo, hi + 1):
+        for data in corpus.generate_polygon_triangulations(n):
+            yield data.name, build_surface(data)
+
+
 def cmd_crosscheck(args) -> int:
+    # files and fixtures are validated before any output; polygons are valid
+    # by construction, so each is built just before its analysis
     instances = []
     try:
         tokens = list(args.inputs)
@@ -122,17 +134,14 @@ def cmd_crosscheck(args) -> int:
                     instances.append((fixture.name, build_surface(fixture.data)))
             else:
                 instances.append((token, _load_surface(token)))
-        if args.polygons:
-            lo, hi = args.polygons
-            for n in range(lo, hi + 1):
-                for data in corpus.generate_polygon_triangulations(n):
-                    instances.append((data.name, build_surface(data)))
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
 
-    failures = 0
-    for name, surface in instances:
+    count = failures = 0
+    for name, surface in itertools.chain(
+            instances, _polygon_surfaces(*args.polygons) if args.polygons else ()):
+        count += 1
         verdicts = [report.analyze(surface, char, args.nmax) for char in (0, 2)]
         ok = all(r.verdict == "pass" for r in verdicts)
         print("%-16s char 0: %s   char 2: %s"
@@ -144,7 +153,7 @@ def cmd_crosscheck(args) -> int:
             for r in verdicts:
                 if r.disagreement:
                     print("  char %d: %s" % (r.characteristic, r.disagreement))
-    print("%d instance(s), %d disagreement(s)" % (len(instances), failures))
+    print("%d instance(s), %d disagreement(s)" % (count, failures))
     return EXIT_OK if failures == 0 else EXIT_DISAGREE
 
 

@@ -37,12 +37,18 @@ class HHTable(NamedTuple):
     method: str = ""
     tail_note: str = ""
 
-    @property
-    def nmax(self) -> int:
-        return len(self.dims) - 1
 
+class ParallelPairFamily(NamedTuple):
+    """All degree-n pair families of one presentation.
 
-class _Families(NamedTuple):
+    ``ap`` is the list of degree-n zero paths (arrow chains whose
+    consecutive pairs are relations), ``pairs`` the parallel pairs of a
+    zero path with a basis path.  The remaining fields are the subfamilies
+    feeding the dimension formula; ``set_a`` is only populated in degree 0
+    and ``loop_pairs`` is degree independent.  ``gentle_orbits`` is the
+    number of rotation orbits of ``gentle_complete``.
+    """
+
     degree: int
     ap: tuple[Path, ...]
     pairs: tuple[tuple[Path, Path], ...]
@@ -54,27 +60,7 @@ class _Families(NamedTuple):
     gentle_complete: tuple[tuple[Path, Path], ...]
     empty_incomplete: tuple[tuple[Path, Path], ...]
     loop_pairs: tuple[tuple[Path, Path], ...]
-
-
-class ParallelPairFamily(_Families):
-    """All degree-n pair families of one presentation.
-
-    ``ap`` is the list of degree-n zero paths (arrow chains whose
-    consecutive pairs are relations), ``pairs`` the parallel pairs of a
-    zero path with a basis path.  The remaining fields are the subfamilies
-    feeding the dimension formula; ``set_a`` is only populated in degree 0
-    and ``loop_pairs`` is degree independent.  The keyword
-    ``gentle_orbits`` records the number of rotation orbits of
-    ``gentle_complete`` as an attribute, not a field, so ``_fields`` and
-    equality read the families only; it is None when not recorded.
-    """
-
-    gentle_orbits = None
-
-    def __new__(cls, *fields, gentle_orbits: int | None = None, **named):
-        family = super().__new__(cls, *fields, **named)
-        family.gentle_orbits = gentle_orbits
-        return family
+    gentle_orbits: int
 
 
 def ap_paths(presentation: GentlePresentation, n: int) -> list[Path]:
@@ -125,7 +111,6 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
     (source, target) index, each subfamily is a predicate filter."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    quiver = presentation.quiver
     relations = presentation.relations
     ap = ap_paths(presentation, n)
     pairs = tuple(parallel_pairs(presentation, ap))
@@ -155,20 +140,12 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
             (rho, gamma) for rho, gamma in cyclic
             if (rho.arrows[-1], rho.arrows[0]) not in relations)
         assert len(complete) + len(incomplete) == len(cyclic)
-
-        def is_complete0(rho):
-            # relations are composable: only arrows at rho's ends can matter
-            first, last = rho.arrows[0], rho.arrows[-1]
-            for g in quiver.incoming(quiver.arrows[first].source):
-                if g.idx != last and (g.idx, first) in relations:
-                    return False
-            for g in quiver.outgoing(quiver.arrows[last].target):
-                if g.idx != first and (last, g.idx) in relations:
-                    return False
-            return True
-
-        complete0 = tuple((rho, gamma) for rho, gamma in complete
-                          if is_complete0(rho))
+        # complete0: no relation meets rho's ends but the one closing it
+        neighbours = presentation.neighbours
+        complete0 = tuple(
+            (rho, gamma) for rho, gamma in complete
+            if set(neighbours[rho.arrows[0]].rel_before) <= {rho.arrows[-1]}
+            and set(neighbours[rho.arrows[-1]].rel_after) <= {rho.arrows[0]})
         complete_set = {rho for rho, _ in complete}
         complete0_set = {rho for rho, _ in complete0}
         gentle = set()
@@ -206,15 +183,13 @@ def coinvariant_dim(presentation: GentlePresentation, n: int,
     complete family, counted as its rotation orbits: rotation permutes the
     family, so over every field the cokernel of (1 - rotation) is free on
     the orbits, and the characteristic (validated) cannot change it.  The
-    count :func:`rr_sets` recorded is used when the family has one."""
+    count is the one :func:`rr_sets` records in the family."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_characteristic(characteristic)
     if family is None:
         family = rr_sets(presentation, n)
-    if family.gentle_orbits is not None:
-        return family.gentle_orbits
-    return len(_orbits(presentation, (rho for rho, _ in family.gentle_complete)))
+    return family.gentle_orbits
 
 
 def parity_weights(characteristic: int, n: int) -> tuple[int, int]:

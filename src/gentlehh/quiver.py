@@ -8,6 +8,7 @@ the internal-triangle 3-cycles; its cyclic derivatives are exactly the
 length-two subpaths of those cycles, which generate the relation ideal.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 from .surface import ARC, TriangulatedSurface, internal_triangles, sint_count
@@ -76,56 +77,64 @@ class Violation(NamedTuple):
     message: str
 
 
+class Neighbours(NamedTuple):
+    """The arrows composable with one arrow, in adjacency order, split by
+    whether the length-two composite is a relation."""
+
+    rel_before: tuple[int, ...]
+    free_before: tuple[int, ...]
+    rel_after: tuple[int, ...]
+    free_after: tuple[int, ...]
+
+
 class GentlePresentation:
     """A bound quiver (Q, I) with quadratic monomial relations.
 
     ``relations`` is the set of forbidden length-two arrow pairs; the path
-    basis is every path containing none of them, enumerated lazily.  More
-    caches live and die with the presentation: the zero-path levels (AP_n
-    is extended from AP_{n-1} when first asked for), ``parallel``, the
-    basis paths indexed by (source, target) in basis order, and
-    ``periodic``, whether the levels repeat under :meth:`shift`.  What no
-    degree changes is computed at construction: the loops, the middle
-    vertices of relations, the arrows :meth:`annihilated` reads, and the
-    relation 3-cycles :meth:`shift` turns around.
+    basis is every path containing none of them.  ``neighbours``, built at
+    construction, lists per arrow id the arrows before and after it, split
+    by whether they compose with it into a relation; gentleness, the basis,
+    the zero paths, the 3-cycle turns and :meth:`annihilated` all read it.
+    Cached on first use: the zero-path levels (AP_n extended from
+    AP_{n-1}), ``basis``, ``parallel`` (the basis paths by (source,
+    target), in basis order) and ``periodic`` (whether the levels repeat
+    under :meth:`shift`).
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
         self.quiver = quiver
         self.potential_cycles = tuple(potential_cycles)
-        self.relations = frozenset(relations)
-        for first, second in self.relations:
+        self.relations = relations = frozenset(relations)
+        for first, second in relations:
             a, b = quiver.arrows[first], quiver.arrows[second]
             if a.target != b.source:
                 raise ValueError("relation %d,%d is not a composable pair" % (first, second))
-        self._basis = self._parallel = self._periodic = None
         self._zero_paths = []
         self.loops = tuple(a for a in quiver.arrows if a.source == a.target)
         self.relation_midpoints = frozenset(
-            quiver.arrows[first].target for first, _ in self.relations)
-        # arrows every arrow composing into them (left) or out of them
-        # (right) meets in a relation, and the vertices without arrows
-        self._left_closed = frozenset(
-            a.idx for a in quiver.arrows
-            if all((b.idx, a.idx) in self.relations for b in quiver.incoming(a.source)))
-        self._right_closed = frozenset(
-            a.idx for a in quiver.arrows
-            if all((a.idx, b.idx) in self.relations for b in quiver.outgoing(a.target)))
+            quiver.arrows[first].target for first, _ in relations)
         self._isolated = frozenset(
             v for v in range(len(quiver.vertices))
             if not quiver.incoming(v) and not quiver.outgoing(v))
-        # arrow -> the arrows it composes with to a relation
-        self._after = after = {}
-        for first, second in self.relations:
-            after.setdefault(first, []).append(second)
+        table = []
+        for a in quiver.arrows:
+            before = [b.idx for b in quiver.incoming(a.source)]
+            after = [b.idx for b in quiver.outgoing(a.target)]
+            table.append(Neighbours(
+                tuple(b for b in before if (b, a.idx) in relations),
+                tuple(b for b in before if (b, a.idx) not in relations),
+                tuple(b for b in after if (a.idx, b) in relations),
+                tuple(b for b in after if (a.idx, b) not in relations)))
+        self.neighbours = tuple(table)
 
         # a -> (a, b, c) when b is the only relation successor of a, c the
         # only one of b and a the only one of c: one turn of a relation 3-cycle
         def single(a):
-            return after[a][0] if len(after.get(a, ())) == 1 else None
+            after = () if a is None else table[a].rel_after
+            return after[0] if len(after) == 1 else None
 
         self._turns = {}
-        for a in after:
+        for a in range(len(table)):
             b = single(a)
             c = single(b)
             if single(c) == a:
@@ -137,28 +146,25 @@ class GentlePresentation:
         starts or ends at its vertex."""
         if not gamma.arrows:
             return gamma.source in self._isolated
-        return gamma.arrows[0] in self._left_closed and gamma.arrows[-1] in self._right_closed
+        return (not self.neighbours[gamma.arrows[0]].free_before
+                and not self.neighbours[gamma.arrows[-1]].free_after)
 
     def path_target(self, path: Path) -> int:
         if not path.arrows:
             return path.source
         return self.quiver.arrows[path.arrows[-1]].target
 
-    @property
+    @cached_property
     def basis(self) -> tuple[Path, ...]:
-        if self._basis is None:
-            self._basis = tuple(enumerate_basis(self))
-        return self._basis
+        return tuple(enumerate_basis(self))
 
-    @property
+    @cached_property
     def parallel(self) -> dict:
         """(source, target) -> tuple of the basis paths with those ends."""
-        if self._parallel is None:
-            index = {}
-            for gamma in self.basis:
-                index.setdefault((gamma.source, self.path_target(gamma)), []).append(gamma)
-            self._parallel = {ends: tuple(paths) for ends, paths in index.items()}
-        return self._parallel
+        index = {}
+        for gamma in self.basis:
+            index.setdefault((gamma.source, self.path_target(gamma)), []).append(gamma)
+        return {ends: tuple(paths) for ends, paths in index.items()}
 
     def zero_paths(self, n: int) -> tuple[Path, ...]:
         """AP_n in path order: trivial paths, arrows, then chains of n arrows
@@ -173,7 +179,7 @@ class GentlePresentation:
         while len(levels) <= n:
             levels.append(tuple(sorted(
                 Path(p.source, p.arrows + (b,)) for p in levels[-1]
-                for b in self._after.get(p.arrows[-1], ()))))
+                for b in self.neighbours[p.arrows[-1]].rel_after)))
         return levels[n]
 
     def shift(self, rho: Path) -> Path:
@@ -183,7 +189,7 @@ class GentlePresentation:
         and the target stay, so the parallel basis paths stay too."""
         return Path(rho.source, self._turns[rho.arrows[0]] + rho.arrows)
 
-    @property
+    @cached_property
     def periodic(self) -> bool:
         """Whether AP_{n+3} is AP_n shifted, position for position, for every
         n >= 2; checked once, on AP_5 against AP_2.
@@ -195,12 +201,9 @@ class GentlePresentation:
         keeps the path order.  A chain of AP_n, n >= 2, starts with a chain
         of AP_2, so every first arrow has its turn.
         """
-        if self._periodic is None:
-            low = self.zero_paths(2)
-            self._periodic = (
-                all(rho.arrows[0] in self._turns for rho in low)
+        low = self.zero_paths(2)
+        return (all(rho.arrows[0] in self._turns for rho in low)
                 and self.zero_paths(5) == tuple(self.shift(rho) for rho in low))
-        return self._periodic
 
     def dimension(self) -> int:
         return len(self.basis)
@@ -265,45 +268,25 @@ def check_gentle(presentation: GentlePresentation) -> list[Violation]:
     G4: same with relation-free compositions.
     """
     quiver = presentation.quiver
-    relations = presentation.relations
     violations = []
-
     for v in range(len(quiver.vertices)):
-        outs = quiver.outgoing(v)
-        ins = quiver.incoming(v)
-        if len(outs) > 2:
-            violations.append(Violation(
-                "G1", "vertex %s has %d outgoing arrows: %s"
-                % (quiver.vertices[v], len(outs),
-                   [quiver.arrow_name(a.idx) for a in outs])))
-        if len(ins) > 2:
-            violations.append(Violation(
-                "G1", "vertex %s has %d incoming arrows: %s"
-                % (quiver.vertices[v], len(ins),
-                   [quiver.arrow_name(a.idx) for a in ins])))
-
-    for beta in quiver.arrows:
-        before = [a.idx for a in quiver.incoming(beta.source)]
-        after = [a.idx for a in quiver.outgoing(beta.target)]
-        rel_before = [i for i in before if (i, beta.idx) in relations]
-        rel_after = [i for i in after if (beta.idx, i) in relations]
-        free_before = [i for i in before if (i, beta.idx) not in relations]
-        free_after = [i for i in after if (beta.idx, i) not in relations]
-        name = quiver.arrow_name(beta.idx)
-        if len(rel_before) > 1:
-            violations.append(Violation(
-                "G3", "arrow %s has %d relations ending in it" % (name, len(rel_before))))
-        if len(rel_after) > 1:
-            violations.append(Violation(
-                "G3", "arrow %s has %d relations starting with it" % (name, len(rel_after))))
-        if len(free_before) > 1:
-            violations.append(Violation(
-                "G4", "arrow %s has %d relation-free extensions on the left"
-                % (name, len(free_before))))
-        if len(free_after) > 1:
-            violations.append(Violation(
-                "G4", "arrow %s has %d relation-free extensions on the right"
-                % (name, len(free_after))))
+        for direction, arrows in (("outgoing", quiver.outgoing(v)),
+                                  ("incoming", quiver.incoming(v))):
+            if len(arrows) > 2:
+                violations.append(Violation(
+                    "G1", "vertex %s has %d %s arrows: %s"
+                    % (quiver.vertices[v], len(arrows), direction,
+                       [quiver.arrow_name(a.idx) for a in arrows])))
+    for idx, neighbours in enumerate(presentation.neighbours):
+        for condition, found, what in (
+                ("G3", neighbours.rel_before, "relations ending in it"),
+                ("G3", neighbours.rel_after, "relations starting with it"),
+                ("G4", neighbours.free_before, "relation-free extensions on the left"),
+                ("G4", neighbours.free_after, "relation-free extensions on the right")):
+            if len(found) > 1:
+                violations.append(Violation(
+                    condition, "arrow %s has %d %s"
+                    % (quiver.arrow_name(idx), len(found), what)))
     return violations
 
 
@@ -315,13 +298,7 @@ def enumerate_basis(presentation: GentlePresentation) -> list[Path]:
     dimensional.  The length cap is a backstop and should be unreachable.
     """
     quiver = presentation.quiver
-    relations = presentation.relations
-
-    successors = {
-        a.idx: [b.idx for b in quiver.outgoing(a.target)
-                if (a.idx, b.idx) not in relations]
-        for a in quiver.arrows
-    }
+    successors = [n.free_after for n in presentation.neighbours]
     _reject_relation_free_cycles(quiver, successors)
 
     cap = 3 * len(quiver.arrows) + 3

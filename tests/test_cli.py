@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from gentlehh import builtin_fixtures, cli, fileformat, fixture_by_name
+from gentlehh import (builtin_fixtures, cli, fileformat, fixture_by_name,
+                      generate_polygon_triangulations)
 from gentlehh.pairs import HHTable
 from gentlehh.report import SurfaceSummary
 
@@ -131,6 +132,38 @@ def test_crosscheck_polygons(capsys):
     assert "21 instance(s), 0 disagreement(s)" in out
 
 
+def test_crosscheck_builds_each_polygon_just_before_its_analyses(monkeypatch, capsys):
+    import gentlehh.report as report_module
+    calls = []
+    build, analyze = cli.build_surface, report_module.analyze
+
+    def recording_build(data):
+        calls.append(("build", data.name))
+        return build(data)
+
+    def recording_analyze(surface, characteristic, nmax, *args):
+        calls.append(("analyze", surface.name, characteristic))
+        return analyze(surface, characteristic, nmax, *args)
+
+    monkeypatch.setattr(cli, "build_surface", recording_build)
+    monkeypatch.setattr(report_module, "analyze", recording_analyze)
+    assert cli.main(["crosscheck", "fixtures", "--polygons", "4..5", "--nmax", "4"]) == 0
+    assert "12 instance(s), 0 disagreement(s)" in capsys.readouterr().out
+
+    def analyses(name):
+        return [("analyze", name, 0), ("analyze", name, 2)]
+
+    # every fixture is validated before any output, then each polygon is
+    # built just before its two analyses
+    fixtures = [f.data.name for f in builtin_fixtures()]
+    expected = [("build", name) for name in fixtures]
+    expected += [call for name in fixtures for call in analyses(name)]
+    for n in (4, 5):
+        for data in generate_polygon_triangulations(n):
+            expected += [("build", data.name)] + analyses(data.name)
+    assert calls == expected
+
+
 def test_crosscheck_corrupted_file_exits_2(tmp_path, capsys):
     path = tmp_path / "corrupt.json"
     doc = fileformat.as_document(fixture_by_name("fig8").data)
@@ -204,11 +237,13 @@ def assert_one_line_error(code, capsys):
     ["ag-compare", "FIG8", "FIG8", "--char", "4"],
     ["crosscheck", "--polygons", "x..y"],
     ["crosscheck", "--polygons", "9..4"],
+    ["generate", "--polygon", "3", "--out", "OUT"],
 ))
-def test_out_of_range_arguments_exit_2(argv, fixture_file, capsys):
-    path = fixture_file("fig8")
-    code = cli.main([path if arg == "FIG8" else arg for arg in argv])
+def test_out_of_range_arguments_exit_2(argv, fixture_file, tmp_path, capsys):
+    path, out_dir = fixture_file("fig8"), tmp_path / "out"
+    code = cli.main([{"FIG8": path, "OUT": str(out_dir)}.get(arg, arg) for arg in argv])
     assert_one_line_error(code, capsys)
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ("analyze", "crosscheck", "ag-compare"))

@@ -1,8 +1,10 @@
 import pytest
+from test_pairs import BRUTE_FORCE_GROUPS, brute_force_instances
 
 from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError,
                       Path, Quiver, build_quiver, check_gentle,
                       enumerate_basis, fixture_by_name)
+from gentlehh.quiver import Violation
 
 
 def presentation_for(name):
@@ -113,23 +115,65 @@ def test_adjacency_is_the_arrow_scan_in_id_order():
             assert quiver.incoming(v) == [a for a in quiver.arrows if a.target == v]
 
 
+# Hand-built presentations that break G1, G3 or G4 on vertices u, v, w, x:
+# (arrows as (source, target), relations, the exact check_gentle report).
+VIOLATING = {
+    "three out of u": (((0, 1), (0, 2), (0, 3)), (), [Violation(
+        "G1", "vertex u has 3 outgoing arrows: ['u->v', 'u->w', 'u->x']")]),
+    "three into x": (((0, 3), (1, 3), (2, 3)), (), [Violation(
+        "G1", "vertex x has 3 incoming arrows: ['u->x', 'v->x', 'w->x']")]),
+    # two relations starting at the same arrow violate G3 ...
+    "two relations after": (((0, 1), (1, 2), (1, 3)), ((0, 1), (0, 2)), [Violation(
+        "G3", "arrow u->v has 2 relations starting with it")]),
+    # ... and with no relations the same shape violates G4
+    "two free after": (((0, 1), (1, 2), (1, 3)), (), [Violation(
+        "G4", "arrow u->v has 2 relation-free extensions on the right")]),
+    "two relations before": (((0, 2), (1, 2), (2, 3)), ((0, 2), (1, 2)), [Violation(
+        "G3", "arrow w->x has 2 relations ending in it")]),
+    "two free before": (((0, 2), (1, 2), (2, 3)), (), [Violation(
+        "G4", "arrow w->x has 2 relation-free extensions on the left")]),
+}
+
+
+def violating_presentation(name):
+    ends, relations, _ = VIOLATING[name]
+    arrows = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))
+    return GentlePresentation(Quiver(("u", "v", "w", "x"), arrows), relations=relations)
+
+
 def test_g1_violation_reported_with_witnesses():
-    quiver = Quiver(vertices=("u", "v", "w", "x"),
-                    arrows=(Arrow(0, 0, 1), Arrow(1, 0, 2), Arrow(2, 0, 3)))
-    violations = check_gentle(GentlePresentation(quiver))
-    assert any(v.condition == "G1" and "3 outgoing" in v.message
-               for v in violations)
+    for name in ("three out of u", "three into x"):
+        assert check_gentle(violating_presentation(name)) == VIOLATING[name][2]
 
 
 def test_g3_and_g4_violations():
-    # two relations starting at the same arrow violate G3
-    quiver = Quiver(vertices=("u", "v", "w", "x"),
-                    arrows=(Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 1, 3)))
-    p_rel = GentlePresentation(quiver, relations={(0, 1), (0, 2)})
-    assert any(v.condition == "G3" for v in check_gentle(p_rel))
-    # ... and with no relations the same shape violates G4
-    p_free = GentlePresentation(quiver)
-    assert any(v.condition == "G4" for v in check_gentle(p_free))
+    for name in ("two relations after", "two free after",
+                 "two relations before", "two free before"):
+        assert check_gentle(violating_presentation(name)) == VIOLATING[name][2]
+
+
+def reference_neighbours(p):
+    """Per arrow, from a scan over all arrow pairs: the arrows before it in
+    a relation with it, those before it without, then the same after it."""
+    arrows, relations = p.quiver.arrows, p.relations
+    return tuple(
+        (tuple(b.idx for b in arrows if b.target == a.source and (b.idx, a.idx) in relations),
+         tuple(b.idx for b in arrows if b.target == a.source and (b.idx, a.idx) not in relations),
+         tuple(b.idx for b in arrows if b.source == a.target and (a.idx, b.idx) in relations),
+         tuple(b.idx for b in arrows if b.source == a.target and (a.idx, b.idx) not in relations))
+        for a in arrows)
+
+
+@pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS + ("hand-built violations",))
+def test_neighbour_table_matches_the_scan_over_all_arrow_pairs(group):
+    if group == "hand-built violations":
+        instances = [(name, lambda name=name: violating_presentation(name))
+                     for name in VIOLATING]
+    else:
+        instances = brute_force_instances(group)
+    for name, make in instances:
+        p = make()
+        assert p.neighbours == reference_neighbours(p), name
 
 
 def test_relation_free_cycle_is_infinite_dimensional():
