@@ -30,21 +30,14 @@ def generate_polygon_triangulations(n: int) -> list[TriangulationInput]:
 
     Vertices are p0..p(n-1) counter-clockwise; edge i runs pi -> p(i+1).
     Recursion splits on the apex of the triangle over the base edge
-    (p0, p(n-1)), so each triangulation appears exactly once.  The n = 3
-    case returns the bare triangle, which is not a valid surface input
-    (it has no arc); build_surface rejects it.
+    (p0, p(n-1)), so each triangulation appears exactly once.  Each
+    triangle (a, b, c) is built once, with its sides, and shared by every
+    triangulation that holds it.  The n = 3 case returns the bare
+    triangle, which is not a valid surface input (it has no arc);
+    build_surface rejects it.
     """
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-
-    def split(lo, hi):
-        if hi - lo < 2:
-            yield []
-            return
-        for apex in range(lo + 1, hi):
-            for left in split(lo, apex):
-                for right in split(apex, hi):
-                    yield left + [(lo, apex, hi)] + right
 
     def oriented_side(u, w):
         # In a ccw triangle (a, b, c) with a < b < c, boundary edges occur
@@ -54,15 +47,26 @@ def generate_polygon_triangulations(n: int) -> list[TriangulationInput]:
         lo, hi = (u, w) if u < w else (w, u)
         return Side("d%d_%d" % (lo, hi), ARC, "p%d" % u, "p%d" % w)
 
-    results = []
-    for idx, triangles in enumerate(split(0, n - 1)):
-        tris = []
-        for (a, b, c) in triangles:
-            tris.append(Triangle(sides=(
-                oriented_side(a, b), oriented_side(b, c), oriented_side(c, a))))
-        results.append(TriangulationInput(
-            name="polygon%d-%03d" % (n, idx), triangles=tuple(tris)))
-    return results
+    shared = {}
+
+    def triangle(a, b, c):
+        if (a, b, c) not in shared:
+            shared[a, b, c] = Triangle(sides=(
+                oriented_side(a, b), oriented_side(b, c), oriented_side(c, a)))
+        return shared[a, b, c]
+
+    def split(lo, hi):
+        if hi - lo < 2:
+            yield ()
+            return
+        for apex in range(lo + 1, hi):
+            tri = triangle(lo, apex, hi)
+            for left in split(lo, apex):
+                for right in split(apex, hi):
+                    yield left + (tri,) + right
+
+    return [TriangulationInput(name="polygon%d-%03d" % (n, idx), triangles=triangles)
+            for idx, triangles in enumerate(split(0, n - 1))]
 
 
 _FIXTURE_FILES = (

@@ -64,7 +64,7 @@ def parse_triangulation(doc) -> TriangulationInput:
 def loads(text: str) -> TriangulationInput:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError("invalid JSON: %s" % exc)
     return parse_triangulation(doc)
 

@@ -6,6 +6,11 @@ second, so an internal triangle yields an oriented 3-cycle and a triangle
 with one boundary side yields a single arrow.  The potential is the sum of
 the internal-triangle 3-cycles; its cyclic derivatives are exactly the
 length-two subpaths of those cycles, which generate the relation ideal.
+
+Paths grow one way, a level at a time: :func:`_extend` follows each path
+by the successors of its last arrow.  Over the relation successors it
+grows the zero-path levels AP_n, over the relation-free ones the path
+basis, and the exact length bound |Q1| decides finiteness.
 """
 
 from functools import cached_property
@@ -36,15 +41,12 @@ class Arrow(NamedTuple):
 class Path(NamedTuple):
     """A path in the quiver: a source vertex and a tuple of arrow ids.
 
-    The empty tuple is the trivial path at ``source``.  Paths order by
-    (length, source, arrow ids), which is the order used everywhere.
+    The empty tuple is the trivial path at ``source``.  The basis and the
+    zero-path levels list paths by (length, source, arrow ids).
     """
 
     source: int
     arrows: tuple[int, ...]
-
-    def sort_key(self):
-        return (len(self.arrows), self.source, self.arrows)
 
 
 class Quiver:
@@ -175,11 +177,8 @@ class GentlePresentation:
         if not levels:
             levels.append(tuple(Path(v, ()) for v in range(len(self.quiver.vertices))))
             levels.append(tuple(sorted(Path(a.source, (a.idx,)) for a in self.quiver.arrows)))
-        # paths of one length sort as tuples (source, arrows), which is path order
         while len(levels) <= n:
-            levels.append(tuple(sorted(
-                Path(p.source, p.arrows + (b,)) for p in levels[-1]
-                for b in self.neighbours[p.arrows[-1]].rel_after)))
+            levels.append(_extend(levels[-1], [nb.rel_after for nb in self.neighbours]))
         return levels[n]
 
     def shift(self, rho: Path) -> Path:
@@ -290,54 +289,43 @@ def check_gentle(presentation: GentlePresentation) -> list[Violation]:
     return violations
 
 
+def _extend(level, successors) -> tuple[Path, ...]:
+    """Every path of ``level`` followed by each successor of its last arrow
+    (``successors`` is indexed by arrow id), in path order: the paths of
+    one level have one length, so plain tuple order is path order."""
+    return tuple(sorted(Path(p.source, p.arrows + (b,))
+                        for p in level for b in successors[p.arrows[-1]]))
+
+
 def enumerate_basis(presentation: GentlePresentation) -> list[Path]:
     """All paths containing no relation, in (length, source, arrows) order.
 
-    Finiteness is decided first: a cycle in the arrow-composition graph
-    restricted to relation-free pairs would make the algebra infinite
-    dimensional.  The length cap is a backstop and should be unreachable.
+    The trivial paths and the arrows (AP_0 and AP_1) are the first two
+    levels; each next level is the last one extended by the relation-free
+    successors of its last arrows.  Finiteness is decided in that loop by
+    an exact bound: a basis path of more than |Q1| arrows repeats an arrow,
+    and the stretch between the repeats is a relation-free cycle, which
+    conversely gives basis paths of every length.  So a level of paths with
+    more than |Q1| arrows raises :class:`InfiniteDimensionalError`, naming
+    the repeated arrow.
+
+    Under G4 a level holds at most |Q1| paths, so rejecting a relation-free
+    cycle costs O(|Q1|^3); without G4 a level can grow as the out-degree to
+    the power of its length.  Only hand-built presentations get there:
+    :func:`build_quiver` builds gentle presentations of valid surfaces,
+    which are always finite.
     """
-    quiver = presentation.quiver
-    successors = [n.free_after for n in presentation.neighbours]
-    _reject_relation_free_cycles(quiver, successors)
-
-    cap = 3 * len(quiver.arrows) + 3
-    basis = [Path(v, ()) for v in range(len(quiver.vertices))]
-    frontier = [Path(a.source, (a.idx,)) for a in quiver.arrows]
-    frontier.sort(key=Path.sort_key)
-    while frontier:
-        basis.extend(frontier)
-        if len(frontier[0].arrows) > cap:
+    free_after = [nb.free_after for nb in presentation.neighbours]
+    bound = len(presentation.quiver.arrows)
+    basis = list(presentation.zero_paths(0))
+    level = presentation.zero_paths(1)
+    while level:
+        arrows = level[0].arrows
+        if len(arrows) > bound:
+            repeated = next(a for i, a in enumerate(arrows) if a in arrows[:i])
             raise InfiniteDimensionalError(
-                "path of length %d exceeds the cap" % len(frontier[0].arrows))
-        new = [Path(p.source, p.arrows + (nxt,))
-               for p in frontier for nxt in successors[p.arrows[-1]]]
-        new.sort(key=Path.sort_key)
-        frontier = new
+                "relation-free cycle through arrow %s"
+                % presentation.quiver.arrow_name(repeated))
+        basis.extend(level)
+        level = _extend(level, free_after)
     return basis
-
-
-def _reject_relation_free_cycles(quiver, successors):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {a.idx: WHITE for a in quiver.arrows}
-    for start in color:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(successors[start]))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    raise InfiniteDimensionalError(
-                        "relation-free cycle through arrow %s"
-                        % quiver.arrow_name(nxt))
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(successors[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()

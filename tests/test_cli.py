@@ -254,6 +254,14 @@ def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     assert_one_line_error(cli.main(argv), capsys)
 
 
+@pytest.mark.parametrize("command", ("analyze", "crosscheck", "ag-compare"))
+def test_deeply_nested_json_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    argv = [command, str(path)] + ([str(path)] if command == "ag-compare" else [])
+    assert_one_line_error(cli.main(argv), capsys)
+
+
 def test_ag_compare_runs_only_the_geometric_method(fixture_file, capsys, monkeypatch):
     import gentlehh.report as report_module
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -31,6 +32,34 @@ def test_polygon_triangulations_are_distinct():
         seen = {frozenset(side.label for tri in data.triangles for side in tri.sides)
                 for data in generate_polygon_triangulations(n)}
         assert len(seen) == CATALAN[n]
+
+
+# sha256 of json.dumps of the documents of all n-gon triangulations, in
+# generation order, as written when every triangulation built its own sides
+POLYGON_DOCUMENTS_SHA256 = {
+    4: "c63867412a7e6a27ccc38d34d7d751113159ee0ae9b20d15c20c3ed8026e6fdd",
+    5: "3cbf6eb0563b5effa4b4dbb9a10bcb1f83052de1fd63ef62d1a1577f81dce3ff",
+    6: "08c86e9f390345c51314c99092b09bf69c944ae0f221bfe24b30c40c7f51cd4c",
+    7: "be4f5ffa7924bf98a567fac9f408eb0831ff19cf0661f5b7ec3eab5db7febdb8",
+    8: "33a030fd674c18f3d06890c1ba0e7f3256149a912bb88b66de76837dfbc109be",
+}
+
+
+def test_polygon_documents_are_unchanged():
+    for n, digest in POLYGON_DOCUMENTS_SHA256.items():
+        docs = [as_document(data) for data in generate_polygon_triangulations(n)]
+        assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == digest
+
+
+def test_polygon_triangulations_share_each_triangle():
+    for n in range(5, 9):
+        by_corners, holders = {}, {}
+        for data in generate_polygon_triangulations(n):
+            for tri in data.triangles:
+                corners = tuple(side.src for side in tri.sides)
+                assert by_corners.setdefault(corners, tri) is tri
+                holders[corners] = holders.get(corners, 0) + 1
+        assert max(holders.values()) > 1
 
 
 def test_discs_have_no_special_boundaries():

@@ -62,8 +62,9 @@ def test_malformed_documents_rejected(mutate, fragment):
 
 
 def test_invalid_json_rejected():
-    with pytest.raises(FormatError):
-        fileformat.loads("{not json")
+    for text in ("{not json", "[" * 200000):
+        with pytest.raises(FormatError):
+            fileformat.loads(text)
 
 
 def test_load_and_dump_file(tmp_path):

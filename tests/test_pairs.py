@@ -148,7 +148,7 @@ def reference_ap_paths(p, n):
     for _ in range(n - 1):
         chains = [Path(c.source, c.arrows + (b.idx,)) for c in chains
                   for b in p.quiver.arrows if (c.arrows[-1], b.idx) in p.relations]
-    return sorted(chains, key=Path.sort_key)
+    return sorted(chains, key=lambda c: (len(c.arrows), c.source, c.arrows))
 
 
 def reference_rr_sets(p, n):

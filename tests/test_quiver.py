@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from test_pairs import BRUTE_FORCE_GROUPS, brute_force_instances
 
@@ -95,7 +97,7 @@ def test_fig8_dimension_by_independent_recount():
 def test_basis_ordering_and_closure():
     p = presentation_for("fig8")
     basis = p.basis
-    keys = [b.sort_key() for b in basis]
+    keys = [(len(b.arrows), b.source, b.arrows) for b in basis]
     assert keys == sorted(keys)
     members = set(basis)
     for gamma in basis:
@@ -181,6 +183,89 @@ def test_relation_free_cycle_is_infinite_dimensional():
                     arrows=(Arrow(0, 0, 1), Arrow(1, 1, 0)))
     with pytest.raises(InfiniteDimensionalError):
         enumerate_basis(GentlePresentation(quiver))
+
+
+def random_small_presentation(rng):
+    """At most 6 vertices and 8 arrows, loops allowed, and a random subset
+    of the composable arrow pairs as relations.  At most three arrows leave
+    a vertex: without G4 a basis level grows as the out-degree to the power
+    of its length, and the levels up to |Q1| + 1 = 9 arrows stay small."""
+    vertices = tuple("v%d" % i for i in range(rng.randint(1, 6)))
+    ends = []
+    for _ in range(rng.randint(1, 8)):
+        source = rng.randrange(len(vertices))
+        if sum(s == source for s, _ in ends) < 3:
+            ends.append((source, rng.randrange(len(vertices))))
+    arrows = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))
+    density = rng.random()
+    relations = {(a.idx, b.idx) for a in arrows for b in arrows
+                 if a.target == b.source and rng.random() < density}
+    return GentlePresentation(Quiver(vertices, arrows), relations=relations)
+
+
+def free_successors(p):
+    """Per arrow, from a scan over all arrow pairs, the arrows following it
+    without a relation."""
+    return [[b.idx for b in p.quiver.arrows
+             if b.source == a.target and (a.idx, b.idx) not in p.relations]
+            for a in p.quiver.arrows]
+
+
+def shortest_free_cycle(successors, start):
+    """The length of the shortest relation-free cycle through ``start``, by
+    breadth-first search, or None when there is none."""
+    seen, frontier, length = set(), [start], 0
+    while frontier:
+        length += 1
+        following = []
+        for a in frontier:
+            for b in successors[a]:
+                if b == start:
+                    return length
+                if b not in seen:
+                    seen.add(b)
+                    following.append(b)
+        frontier = following
+    return None
+
+
+def brute_force_basis(p, successors):
+    """Every relation-free path, grown arrow by arrow from each arrow
+    (finite, as the successor graph is acyclic), then sorted."""
+    paths = [Path(v, ()) for v in range(len(p.quiver.vertices))]
+    stack = [Path(a.source, (a.idx,)) for a in p.quiver.arrows]
+    while stack:
+        path = stack.pop()
+        paths.append(path)
+        stack.extend(Path(path.source, path.arrows + (b,))
+                     for b in successors[path.arrows[-1]])
+    return sorted(paths, key=lambda q: (len(q.arrows), q.source, q.arrows))
+
+
+def test_finiteness_is_decided_by_the_relation_free_cycles():
+    rng = random.Random(20261019)
+    cycle_lengths, finite = set(), 0
+    for _ in range(600):
+        p = random_small_presentation(rng)
+        successors = free_successors(p)
+        on_cycle = {}
+        for a in p.quiver.arrows:
+            length = shortest_free_cycle(successors, a.idx)
+            if length is not None:
+                on_cycle[a.idx] = length
+        if on_cycle:
+            with pytest.raises(InfiniteDimensionalError) as err:
+                enumerate_basis(p)
+            named = str(err.value).rsplit(" ", 1)[-1]
+            assert named in {p.quiver.arrow_name(a) for a in on_cycle}
+            cycle_lengths.update(on_cycle.values())
+        else:
+            basis = enumerate_basis(p)
+            assert max(len(path.arrows) for path in basis) <= len(p.quiver.arrows)
+            assert basis == brute_force_basis(p, successors)
+            finite += 1
+    assert {1, 2, 3} <= cycle_lengths
+    assert finite >= 100
 
 
 def test_incomposable_relation_rejected():
