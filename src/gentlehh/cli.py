@@ -75,13 +75,9 @@ def _load_surface(path):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        surface = _load_surface(args.file)
-        methods = report.METHODS if args.method == "all" else (args.method,)
-        result = report.analyze(surface, args.char, args.nmax, methods)
-    except INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    surface = _load_surface(args.file)
+    methods = report.METHODS if args.method == "all" else (args.method,)
+    result = report.analyze(surface, args.char, args.nmax, methods)
     if args.format == "json":
         print(report.render_json(result))
     else:
@@ -124,19 +120,15 @@ def cmd_crosscheck(args) -> int:
     # files and fixtures are validated before any output; polygons are valid
     # by construction, so each is built just before its analysis
     instances = []
-    try:
-        tokens = list(args.inputs)
-        if not tokens and not args.polygons:
-            tokens = ["fixtures"]
-        for token in tokens:
-            if token == "fixtures":
-                for fixture in corpus.builtin_fixtures():
-                    instances.append((fixture.name, build_surface(fixture.data)))
-            else:
-                instances.append((token, _load_surface(token)))
-    except INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    tokens = list(args.inputs)
+    if not tokens and not args.polygons:
+        tokens = ["fixtures"]
+    for token in tokens:
+        if token == "fixtures":
+            for fixture in corpus.builtin_fixtures():
+                instances.append((fixture.name, build_surface(fixture.data)))
+        else:
+            instances.append((token, _load_surface(token)))
 
     count = failures = 0
     for name, surface in itertools.chain(
@@ -158,13 +150,9 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_ag_compare(args) -> int:
-    try:
-        reports = [report.analyze(_load_surface(path), args.char, args.nmax,
-                                  methods=("geometric",))
-                   for path in (args.file1, args.file2)]
-    except INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    reports = [report.analyze(_load_surface(path), args.char, args.nmax,
+                              methods=("geometric",))
+               for path in (args.file1, args.file2)]
     for rep in reports:
         print("%s:" % rep.name)
         print("  AG invariant: %s" % ("; ".join(rep.invariant.lines()) or "(empty)"))
@@ -181,33 +169,35 @@ def cmd_ag_compare(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        triangulations = corpus.generate_polygon_triangulations(args.polygon)
-        os.makedirs(args.out, exist_ok=True)
-        for data in triangulations:
-            fileformat.dump_file(data, os.path.join(args.out, data.name + ".json"))
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
+    triangulations = corpus.generate_polygon_triangulations(args.polygon)
+    os.makedirs(args.out, exist_ok=True)
+    for data in triangulations:
+        fileformat.dump_file(data, os.path.join(args.out, data.name + ".json"))
     print("wrote %d triangulation(s) of the %d-gon to %s"
           % (len(triangulations), args.polygon, args.out))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
+    """Run one command.  A bad argument or input exits 2 with one
+    ``error:`` line; any other exception is a bug and propagates."""
     args = _parser().parse_args(argv)
-    try:
-        _check_arguments(args)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
     handler = {
         "analyze": cmd_analyze,
         "crosscheck": cmd_crosscheck,
         "ag-compare": cmd_ag_compare,
         "generate": cmd_generate,
     }[args.command]
-    return handler(args)
+    try:
+        _check_arguments(args)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        return handler(args)
+    except INPUT_ERRORS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ length-two subpaths of those cycles, which generate the relation ideal.
 Paths grow one way, a level at a time: :func:`_extend` follows each path
 by the successors of its last arrow.  Over the relation successors it
 grows the zero-path levels AP_n, over the relation-free ones the path
-basis, and the exact length bound |Q1| decides finiteness.
+basis, and the first basis path to repeat an arrow decides finiteness.
 """
 
 from functools import cached_property
@@ -302,30 +302,30 @@ def enumerate_basis(presentation: GentlePresentation) -> list[Path]:
 
     The trivial paths and the arrows (AP_0 and AP_1) are the first two
     levels; each next level is the last one extended by the relation-free
-    successors of its last arrows.  Finiteness is decided in that loop by
-    an exact bound: a basis path of more than |Q1| arrows repeats an arrow,
-    and the stretch between the repeats is a relation-free cycle, which
-    conversely gives basis paths of every length.  So a level of paths with
-    more than |Q1| arrows raises :class:`InfiniteDimensionalError`, naming
-    the repeated arrow.
+    successors of its last arrows.  Finiteness is decided in that loop, at
+    the first repeated arrow: a new basis path that ends in an arrow it
+    already contains raises :class:`InfiniteDimensionalError` naming that
+    arrow, because the stretch between the two copies is a relation-free
+    cycle, which gives basis paths of every length.  Conversely a
+    relation-free cycle makes some basis path of at most |Q1| + 1 arrows
+    repeat its last arrow, so without one the levels run out.
 
-    Under G4 a level holds at most |Q1| paths, so rejecting a relation-free
-    cycle costs O(|Q1|^3); without G4 a level can grow as the out-degree to
-    the power of its length.  Only hand-built presentations get there:
-    :func:`build_quiver` builds gentle presentations of valid surfaces,
-    which are always finite.
+    Under G4 a level holds at most |Q1| paths, so the basis costs
+    O(|Q1|^3); without G4 a level can grow as the out-degree to the power
+    of its length, but a cycle is still caught at the level where it first
+    closes.  :func:`build_quiver` builds gentle presentations of valid
+    surfaces, which are always finite.
     """
     free_after = [nb.free_after for nb in presentation.neighbours]
-    bound = len(presentation.quiver.arrows)
     basis = list(presentation.zero_paths(0))
     level = presentation.zero_paths(1)
     while level:
-        arrows = level[0].arrows
-        if len(arrows) > bound:
-            repeated = next(a for i, a in enumerate(arrows) if a in arrows[:i])
-            raise InfiniteDimensionalError(
-                "relation-free cycle through arrow %s"
-                % presentation.quiver.arrow_name(repeated))
         basis.extend(level)
         level = _extend(level, free_after)
+        for path in level:
+            last = path.arrows[-1]
+            if path.arrows.index(last) != len(path.arrows) - 1:
+                raise InfiniteDimensionalError(
+                    "relation-free cycle through arrow %s"
+                    % presentation.quiver.arrow_name(last))
     return basis

@@ -122,13 +122,6 @@ def _label_key(label: str):
     return (len(label), label)
 
 
-def _side_count_by_kind(triangle: Triangle) -> dict:
-    counts = {ARC: 0, BOUNDARY: 0}
-    for side in triangle.sides:
-        counts[side.kind] += 1
-    return counts
-
-
 def build_surface(data: TriangulationInput) -> TriangulatedSurface:
     """Validate a triangle gluing and derive its surface topology.
 
@@ -139,28 +132,27 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
     if not triangles:
         raise SurfaceError("%s: no triangles" % data.name)
 
+    # Collect occurrences per (kind, label) and the arc sides per triangle.
+    occurrences: dict = {}
+    arc_sides = []
     for t_idx, tri in enumerate(triangles):
         if len(tri.sides) != 3:
             raise SurfaceError("triangle %d does not have three sides" % t_idx)
-        for side in tri.sides:
+        for pos, side in enumerate(tri.sides):
             if side.kind not in (ARC, BOUNDARY):
                 raise SurfaceError(
                     "triangle %d: unknown side kind %r" % (t_idx, side.kind))
             if not side.label or not side.src or not side.dst:
                 raise SurfaceError(
                     "triangle %d: empty label or vertex name" % t_idx)
+            occurrences.setdefault((side.kind, side.label), []).append((t_idx, pos))
         for i in range(3):
             here, after = tri.sides[i], tri.sides[(i + 1) % 3]
             if here.dst != after.src:
                 raise CornerInconsistency(
                     "triangle %d: side %r ends at %r but side %r starts at %r"
                     % (t_idx, here.label, here.dst, after.label, after.src))
-
-    # Collect occurrences per (kind, label).
-    occurrences: dict = {}
-    for t_idx, tri in enumerate(triangles):
-        for pos, side in enumerate(tri.sides):
-            occurrences.setdefault((side.kind, side.label), []).append((t_idx, pos))
+        arc_sides.append(sum(side.kind == ARC for side in tri.sides))
 
     arc_labels = sorted({lbl for (k, lbl) in occurrences if k == ARC}, key=_label_key)
     bnd_labels = sorted({lbl for (k, lbl) in occurrences if k == BOUNDARY}, key=_label_key)
@@ -196,21 +188,15 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
         raise UnsupportedSurface(
             "%s: surface has no arcs; the associated quiver would be empty"
             % data.name)
-    counts = [_side_count_by_kind(tri) for tri in triangles]
-    for t_idx, count in enumerate(counts):
-        if count[BOUNDARY] == 3:
-            raise UnsupportedSurface(
-                "triangle %d has three boundary sides" % t_idx)
+    if 0 in arc_sides:
+        raise UnsupportedSurface(
+            "triangle %d has three boundary sides" % arc_sides.index(0))
 
-    _check_vertex_links(triangles, arc_occurrences)
+    fans = _vertex_fans(triangles, arc_occurrences)
     _check_connected(triangles, arc_occurrences)
 
-    components = _boundary_components(triangles)
-
-    marked_points = sorted(
-        {s.src for tri in triangles for s in tri.sides}
-        | {s.dst for tri in triangles for s in tri.sides},
-        key=_label_key)
+    components = _boundary_components(triangles, fans)
+    marked_points = sorted(fans, key=_label_key)
 
     V = len(marked_points)
     E = len(arc_labels) + len(bnd_labels)
@@ -237,14 +223,15 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
         boundary_components=components,
         genus=genus,
         euler_char=euler,
-        internal=frozenset(i for i, c in enumerate(counts) if c[ARC] == 3),
-        sint=sum(1 for c in counts if c[BOUNDARY] == 1),
-        profiles=_boundary_profiles(triangles, components),
+        internal=frozenset(i for i, count in enumerate(arc_sides) if count == 3),
+        sint=arc_sides.count(2),
+        profiles=_boundary_profiles(components, fans),
     )
 
 
-def _check_vertex_links(triangles, arc_occurrences):
-    """Walk the corner fan around every vertex.
+def _vertex_fans(triangles, arc_occurrences) -> dict:
+    """Walk the corner fan around every vertex; return, per marked point,
+    the boundary segment leaving it and whether an arc ends there.
 
     A corner is identified by its incoming side slot (triangle, position):
     the corner of that triangle sitting at ``sides[pos].dst``, between
@@ -252,7 +239,11 @@ def _check_vertex_links(triangles, arc_occurrences):
     the corner whose incoming slot is the arc's other occurrence.  At each
     vertex the corners must form one open chain bounded by boundary segments
     on both ends: a closed cycle is an interior vertex (a puncture), several
-    chains are a pinched vertex or a reused point name.
+    chains are a pinched vertex or a reused point name.  The chain's last
+    out side is the one boundary segment leaving the point, and an arc ends
+    there exactly when the chain has more than one corner: a single corner
+    has boundary on both sides, and a longer chain leaves its first corner
+    through an arc.
     """
     corners_at = {}
     for t_idx, tri in enumerate(triangles):
@@ -263,11 +254,10 @@ def _check_vertex_links(triangles, arc_occurrences):
         first, second = arc_occurrences[label]
         return second if occ == first else first
 
+    fans = {}
     for vertex, corners in corners_at.items():
-        starts = []
-        for t_idx, pos in corners:
-            if triangles[t_idx].sides[pos].kind == BOUNDARY:
-                starts.append((t_idx, pos))
+        starts = [(t_idx, pos) for t_idx, pos in corners
+                  if triangles[t_idx].sides[pos].kind == BOUNDARY]
         if not starts:
             raise UnsupportedSurface(
                 "marked point %r is interior (a puncture)" % vertex)
@@ -290,11 +280,11 @@ def _check_vertex_links(triangles, arc_occurrences):
             raise NonManifoldGluing(
                 "marked point %r: %d corner(s) unreachable from its boundary "
                 "wedge (puncture or pinch)" % (vertex, len(corners) - len(seen)))
+        fans[vertex] = (out_side, len(seen) > 1)
+    return fans
 
 
 def _check_connected(triangles, arc_occurrences):
-    if not triangles:
-        return
     reached = {0}
     stack = [0]
     while stack:
@@ -312,40 +302,27 @@ def _check_connected(triangles, arc_occurrences):
             % (len(reached), len(triangles)))
 
 
-def _boundary_components(triangles) -> tuple[BoundaryComponent, ...]:
-    """Chain boundary segments dst -> src into cyclic components.
+def _boundary_components(triangles, fans) -> tuple[BoundaryComponent, ...]:
+    """Chain boundary segments dst -> src into cyclic components, starting
+    each at its first segment in triangle order.
 
     The ccw triangle convention orients each boundary segment with the
-    surface on its left, so the successor of a segment is the unique
-    boundary segment starting where it ends.
+    surface on its left, so the successor of a segment is the boundary
+    segment leaving the point where it ends: that point's fan's last side.
     """
-    by_src = {}
-    order = []
-    for tri in triangles:
-        for side in tri.sides:
-            if side.kind != BOUNDARY:
-                continue
-            if side.src in by_src:
-                raise NonManifoldGluing(
-                    "two boundary segments leave marked point %r" % side.src)
-            by_src[side.src] = side
-            order.append(side)
-
     components = []
     visited = set()
-    for start in order:
-        if start.label in visited:
-            continue
-        points, segments = [], []
-        side = start
-        while True:
-            visited.add(side.label)
-            points.append(side.src)
-            segments.append(side.label)
-            side = by_src[side.dst]
-            if side.label == start.label:
-                break
-        components.append(BoundaryComponent(tuple(points), tuple(segments)))
+    for tri in triangles:
+        for start in tri.sides:
+            if start.kind != BOUNDARY or start.label in visited:
+                continue
+            points, segments, side = [], [], start
+            while side.label not in visited:
+                visited.add(side.label)
+                points.append(side.src)
+                segments.append(side.label)
+                side = fans[side.dst][0]
+            components.append(BoundaryComponent(tuple(points), tuple(segments)))
     return tuple(components)
 
 
@@ -374,18 +351,14 @@ def classify_boundaries(surface: TriangulatedSurface) -> tuple[BoundaryProfile, 
     return surface.profiles
 
 
-def _boundary_profiles(triangles, components) -> tuple[BoundaryProfile, ...]:
-    # marked points that are an endpoint of at least one arc
-    incident = {point for tri in triangles for side in tri.sides if side.kind == ARC
-                for point in (side.src, side.dst)}
+def _boundary_profiles(components, fans) -> tuple[BoundaryProfile, ...]:
+    """Count per component the points an arc ends at (read from their fans)
+    and the segments between two such points."""
     profiles = []
     for idx, comp in enumerate(components):
-        n_inc = sum(1 for p in comp.points if p in incident)
-        k = len(comp.points)
-        m_seg = sum(
-            1 for i in range(len(comp.segments))
-            if comp.points[i] in incident and comp.points[(i + 1) % k] in incident)
-        profiles.append(BoundaryProfile(idx, n_inc, m_seg))
+        incident = [fans[p][1] for p in comp.points]
+        m_seg = sum(1 for i in range(len(incident)) if incident[i - 1] and incident[i])
+        profiles.append(BoundaryProfile(idx, sum(incident), m_seg))
     return tuple(profiles)
 
 

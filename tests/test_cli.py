@@ -246,6 +246,24 @@ def test_out_of_range_arguments_exit_2(argv, fixture_file, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_generate_onto_an_existing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert_one_line_error(cli.main(["generate", "--polygon", "5", "--out", str(path)]),
+                          capsys)
+
+
+def test_a_library_value_error_is_a_traceback_not_exit_2(fixture_file, monkeypatch):
+    import gentlehh.report as report_module
+
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(report_module, "analyze", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(["analyze", fixture_file("fig8")])
+
+
 @pytest.mark.parametrize("command", ("analyze", "crosscheck", "ag-compare"))
 def test_non_utf8_file_exits_2(command, tmp_path, capsys):
     path = tmp_path / "latin1.json"

@@ -268,6 +268,25 @@ def test_finiteness_is_decided_by_the_relation_free_cycles():
     assert finite >= 100
 
 
+def test_a_relation_free_cycle_raises_at_its_first_repeated_arrow(monkeypatch):
+    # five loops at one vertex and no relations: every level k has 5^k paths,
+    # and the level of length two already repeats an arrow
+    import gentlehh.quiver as quiver_module
+    built = []
+    extend = quiver_module._extend
+
+    def counting_extend(level, successors):
+        result = extend(level, successors)
+        built.append(len(result))
+        return result
+
+    monkeypatch.setattr(quiver_module, "_extend", counting_extend)
+    p = GentlePresentation(Quiver(("v",), tuple(Arrow(i, 0, 0) for i in range(5))))
+    with pytest.raises(InfiniteDimensionalError, match=r"through arrow v->v$"):
+        enumerate_basis(p)
+    assert sum(built) <= 25
+
+
 def test_incomposable_relation_rejected():
     quiver = Quiver(vertices=("u", "v", "w"),
                     arrows=(Arrow(0, 0, 1), Arrow(1, 0, 2)))

@@ -211,3 +211,68 @@ def test_census_is_computed_once_and_kept_immutable():
         assert isinstance(classify_boundaries(s), tuple)
         assert internal_triangles(s) is internal_triangles(s)
         assert classify_boundaries(s) is classify_boundaries(s)
+
+
+def reference_boundary_data(s):
+    """Boundary components, marked points and, per marked point, the
+    boundary segment leaving it and whether an arc ends there, from the
+    sides alone: segments chained through a src -> segment dict, each
+    component started at its first unvisited segment in triangle order."""
+    sides = [side for t in s.triangles for side in t.sides]
+    leaving = {side.src: side for side in sides if side.kind == "boundary"}
+    components, visited = [], set()
+    for start in sides:
+        if start.kind != "boundary" or start.label in visited:
+            continue
+        points, segments, side = [], [], start
+        while side.label not in visited:
+            visited.add(side.label)
+            points.append(side.src)
+            segments.append(side.label)
+            side = leaving[side.dst]
+        components.append((tuple(points), tuple(segments)))
+    points = sorted({p for side in sides for p in (side.src, side.dst)},
+                    key=lambda p: (len(p), p))
+    ends = {p for side in sides if side.kind == "arc" for p in (side.src, side.dst)}
+    return components, points, {p: (leaving[p], p in ends) for p in points}
+
+
+def test_boundary_data_matches_a_scan_of_the_sides(monkeypatch):
+    import random
+
+    import gentlehh.surface as surface_module
+    from test_cli import mutate
+    from test_cochain import random_polygon
+
+    from gentlehh import (SurfaceError, builtin_fixtures, fileformat,
+                          generate_polygon_triangulations)
+
+    fixtures = builtin_fixtures()  # loading validates them: not recorded below
+    fans_read = []
+    profiles = surface_module._boundary_profiles
+
+    def recording_profiles(components, fans):
+        fans_read.append(fans)
+        return profiles(components, fans)
+
+    monkeypatch.setattr(surface_module, "_boundary_profiles", recording_profiles)
+    surfaces = [fx.surface() for fx in fixtures]
+    surfaces += [build_surface(d) for n in range(4, 9)
+                 for d in generate_polygon_triangulations(n)]
+    surfaces.append(random_polygon(60, 11))
+    rng = random.Random(5)
+    documents = [fileformat.as_document(fx.data) for fx in fixtures]
+    mutants = 0
+    for _ in range(1000):
+        try:
+            data = fileformat.parse_triangulation(mutate(rng.choice(documents), rng))
+            surfaces.append(build_surface(data))
+            mutants += 1
+        except (fileformat.FormatError, SurfaceError):
+            pass
+    assert mutants >= 20 and len(fans_read) == len(surfaces)
+    for s, fans in zip(surfaces, fans_read):
+        components, points, incidence = reference_boundary_data(s)
+        assert [(c.points, c.segments) for c in s.boundary_components] == components
+        assert list(s.marked_points) == points
+        assert fans == incidence
