@@ -18,7 +18,7 @@ from gentlehh import (ag_invariant, build_complex, build_quiver,
                       fixture_by_name, hh_dims_geometric, hh_dims_ladkani,
                       hh_dims_oracle, hh_dims_rr)
 
-surface = fixture_by_name("fig8").surface()
+surface = fixture_by_name("fig8").surface
 presentation = build_quiver(surface)
 
 print("surface: genus 0, three boundary circles, seven arcs")

@@ -12,8 +12,8 @@ invariant differs, so no derived equivalence can exist.  Run:
 from gentlehh import (ag_invariant, build_quiver, compare_ag, fixture_by_name,
                       hh_dims_geometric)
 
-t1 = fixture_by_name("torus-T1").surface()
-t2 = fixture_by_name("torus-T2").surface()
+t1 = fixture_by_name("torus-T1").surface
+t2 = fixture_by_name("torus-T2").surface
 
 for surface in (t1, t2):
     presentation = build_quiver(surface)

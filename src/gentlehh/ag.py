@@ -88,8 +88,7 @@ def hh_dims_ladkani(invariant: AGInvariant, q0: int, q1: int,
         a, b = parity_weights(characteristic, n)
         dims.append(invariant.multiplicity(1, n)
                     + a * psi(invariant, n) + b * psi(invariant, n - 1))
-    return HHTable(characteristic=characteristic, dims=tuple(dims),
-                   method="ladkani", tail_note="from the derived invariant")
+    return HHTable(dims=tuple(dims), tail_note="from the derived invariant")
 
 
 def compare_ag(first: AGInvariant, second: AGInvariant) -> AGComparison:

@@ -126,7 +126,7 @@ def cmd_crosscheck(args) -> int:
     for token in tokens:
         if token == "fixtures":
             for fixture in corpus.builtin_fixtures():
-                instances.append((fixture.name, build_surface(fixture.data)))
+                instances.append((fixture.name, fixture.surface))
         else:
             instances.append((token, _load_surface(token)))
 

@@ -178,5 +178,4 @@ def hh_dims_oracle(complex_: CochainComplex, characteristic: int) -> HHTable:
         ranks[m] = rank(differentials[m], characteristic)
     dims = [len(bases[degree[n]]) - ranks[degree[n + 1]] - ranks[degree[n]]
             for n in range(complex_.top_degree)]
-    return HHTable(characteristic=characteristic, dims=tuple(dims), method="oracle",
-                   tail_note="exact kernel/rank computation")
+    return HHTable(dims=tuple(dims), tail_note="exact kernel/rank computation")

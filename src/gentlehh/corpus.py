@@ -2,7 +2,6 @@
 fixture surfaces."""
 
 import json
-from importlib import resources
 from typing import NamedTuple
 
 from . import fileformat
@@ -15,14 +14,13 @@ class FixtureCorrupt(Exception):
 
 
 class Fixture(NamedTuple):
-    """A shipped fixture: its triangulation and the tables it expects."""
+    """A shipped fixture: its triangulation, the surface its validation
+    built, and the tables it expects."""
 
     name: str
     data: TriangulationInput
+    surface: TriangulatedSurface
     expected: dict
-
-    def surface(self) -> TriangulatedSurface:
-        return build_surface(self.data)
 
 
 def generate_polygon_triangulations(n: int) -> list[TriangulationInput]:
@@ -79,6 +77,8 @@ _FIXTURE_FILES = (
 
 
 def fixture_documents():
+    # imported here: on Python 3.12+ importlib.resources loads inspect
+    from importlib import resources
     for filename in _FIXTURE_FILES:
         text = resources.files("gentlehh.data").joinpath(filename).read_text("utf-8")
         yield filename, json.loads(text)
@@ -87,14 +87,11 @@ def fixture_documents():
 def load_fixture_document(doc, origin="fixture") -> Fixture:
     try:
         data = fileformat.parse_triangulation(doc)
-        build_surface(data)
+        surface = build_surface(data)
     except (fileformat.FormatError, SurfaceError) as exc:
         raise FixtureCorrupt("%s: %s" % (origin, exc))
-    return Fixture(
-        name=data.name,
-        data=data,
-        expected=doc.get("expected", {}),
-    )
+    return Fixture(name=data.name, data=data, surface=surface,
+                   expected=doc.get("expected", {}))
 
 
 def builtin_fixtures() -> list[Fixture]:

@@ -43,10 +43,9 @@ def hh_dims_geometric(surface: TriangulatedSurface, characteristic: int = 0,
     dims = [1 + b0, 1 + b1 + q1 - q0]
     for n in range(2, nmax + 1):
         dims.append(int_count if n % modulus in (0, 1) else 0)
-    table = HHTable(
-        characteristic=characteristic, dims=tuple(dims), method="geometric",
-        tail_note="%d at n = 0,1 (mod %d) for n >= 2, else 0"
-                  % (int_count, modulus))
+    table = HHTable(dims=tuple(dims),
+                    tail_note="%d at n = 0,1 (mod %d) for n >= 2, else 0"
+                              % (int_count, modulus))
     cup = int_count >= 1
     return GeometricResult(
         table=table,

@@ -23,8 +23,11 @@ def is_prime(p: int) -> bool:
 
 
 def check_characteristic(char: int):
-    if char != 0 and not is_prime(char):
-        raise ValueError("characteristic must be 0 or a prime, got %r" % char)
+    """Accept 0 or a prime below 2**31, where trial division takes at most
+    46341 steps; anything else is a ValueError."""
+    if char != 0 and not (char < 2**31 and is_prime(char)):
+        raise ValueError("characteristic must be 0 or a prime below 2**31, got %r"
+                         % char)
 
 
 def _normalise(row: dict, char: int) -> dict:

@@ -29,17 +29,17 @@ from .quiver import GentlePresentation, Path
 
 
 class HHTable(NamedTuple):
-    """Hochschild dimensions HH^0..HH^nmax over a fixed characteristic,
-    with the method that computed them and a note on how it got the tail."""
+    """Hochschild dimensions HH^0..HH^nmax and a note on how the method
+    got the tail; the report keys each table by its method and carries
+    the characteristic."""
 
-    characteristic: int
     dims: tuple[int, ...]
-    method: str = ""
     tail_note: str = ""
 
 
 class ParallelPairFamily(NamedTuple):
-    """All degree-n pair families of one presentation.
+    """All degree-n pair families of one presentation, for the degree n
+    the caller passed to :func:`rr_sets`.
 
     ``ap`` is the list of degree-n zero paths (arrow chains whose
     consecutive pairs are relations), ``pairs`` the parallel pairs of a
@@ -49,7 +49,6 @@ class ParallelPairFamily(NamedTuple):
     number of rotation orbits of ``gentle_complete``.
     """
 
-    degree: int
     ap: tuple[Path, ...]
     pairs: tuple[tuple[Path, Path], ...]
     set_a: tuple[tuple[Path, Path], ...]
@@ -162,7 +161,7 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
             if rho.source not in presentation.relation_midpoints)
 
     return ParallelPairFamily(
-        degree=n, ap=tuple(ap), pairs=pairs, set_a=set_a,
+        ap=tuple(ap), pairs=pairs, set_a=set_a,
         zero_zero=zero_zero, complete=complete, incomplete=incomplete,
         complete0=complete0, gentle_complete=gentle_complete,
         empty_incomplete=empty_incomplete,
@@ -203,6 +202,19 @@ def parity_weights(characteristic: int, n: int) -> tuple[int, int]:
 RR_BUILT_TOP = 5
 
 
+def _unreachable_vertex(quiver) -> int | None:
+    """A vertex no walk along arrows, either way, reaches from vertex 0."""
+    reached, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for a in quiver.outgoing(v) + quiver.incoming(v):
+            for w in (a.source, a.target):
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
+    return next((v for v in range(len(quiver.vertices)) if v not in reached), None)
+
+
 def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
                nmax: int) -> HHTable:
     """Hochschild dimensions from the pair-family counts.
@@ -212,26 +224,31 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     n >= 2 combines the two family counts with the parity-weighted
     coinvariant dimensions of degrees n and n-1.  When the zero paths
     repeat, degrees past RR_BUILT_TOP repeat the counts three below, and
-    the tail note says so.
+    the tail note says so.  The orbit counts are the ones each family
+    records.  The formulas hold for a connected quiver only, so one with a
+    vertex unreachable from vertex 0 is a ValueError.
     """
     check_characteristic(characteristic)
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
+    quiver = presentation.quiver
+    unreached = _unreachable_vertex(quiver)
+    if unreached is not None:
+        raise ValueError("rr needs a connected quiver: vertex %s is not reachable "
+                         "from vertex %s"
+                         % (quiver.vertices[unreached], quiver.vertices[0]))
     periodic = nmax > RR_BUILT_TOP and presentation.periodic
     families = [rr_sets(presentation, n)
                 for n in range(RR_BUILT_TOP + 1 if periodic else nmax + 1)]
     # (zero_zero, empty_incomplete, gentle complete orbits) per degree >= 1
-    counts = [None] + [
-        (len(f.zero_zero), len(f.empty_incomplete),
-         coinvariant_dim(presentation, f.degree, characteristic, f))
-        for f in families[1:]]
+    counts = [None] + [(len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
+                       for f in families[1:]]
     if periodic:
         if counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
             raise AssertionError("rr counts of degree %d differ from degree %d"
                                  % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
         for n in range(RR_BUILT_TOP + 1, nmax + 1):
             counts.append(counts[n - 3])
-    quiver = presentation.quiver
 
     dims = [1 + len(families[0].set_a)]
     hh1 = 1 + counts[1][0] + len(quiver.arrows) - len(quiver.vertices)
@@ -244,5 +261,4 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
         dims.append(zero_zero + empty_incomplete + a * orbits + b * counts[n - 1][2])
     tail_note = ("degrees 0..%d enumerated, then period 3" % RR_BUILT_TOP
                  if periodic else "computed degree by degree")
-    return HHTable(characteristic=characteristic, dims=tuple(dims),
-                   method="rr", tail_note=tail_note)
+    return HHTable(dims=tuple(dims), tail_note=tail_note)

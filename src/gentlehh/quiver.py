@@ -198,7 +198,10 @@ class GentlePresentation:
         depends on AP_n only through last arrows, and the shift keeps the
         last arrow and both endpoints, commutes with appending an arrow and
         keeps the path order.  A chain of AP_n, n >= 2, starts with a chain
-        of AP_2, so every first arrow has its turn.
+        of AP_2, so every first arrow has its turn.  A loop a with the
+        relation (a, a) is its own turn (a, a, a): the shift inserts a a a
+        in front, which keeps the first and last arrow and both endpoints
+        just as a turn around a 3-cycle does.
         """
         low = self.zero_paths(2)
         return (all(rho.arrows[0] in self._turns for rho in low)

@@ -79,7 +79,7 @@ def products(corpus):
 
 def test_criterion_1_fig8_reproduction():
     failures = []
-    surface = g.fixture_by_name("fig8").surface()
+    surface = g.fixture_by_name("fig8").surface
     start = time.perf_counter()
     tables0 = compute_tables(surface, 0, NMAX)
     tables2 = compute_tables(surface, 2, NMAX)
@@ -107,7 +107,7 @@ def test_criterion_2_counterexample_reproduction():
     failures = []
     start = time.perf_counter()
     f1, f2 = g.fixture_by_name("torus-T1"), g.fixture_by_name("torus-T2")
-    s1, s2 = f1.surface(), f2.surface()
+    s1, s2 = f1.surface, f2.surface
     p1, p2 = g.build_quiver(s1), g.build_quiver(s2)
     tables = {(name, char): compute_tables(s, char, NMAX)
               for name, s in (("T1", s1), ("T2", s2)) for char in CHARS}
@@ -191,8 +191,8 @@ def test_torus_pair_counterexample_with_consistent_counts():
     """The same counterexample asserted with the Euler-consistent counts:
     18 arrows and HH^1 = 7.  Every check here passes."""
     failures = []
-    s1 = g.fixture_by_name("torus-T1").surface()
-    s2 = g.fixture_by_name("torus-T2").surface()
+    s1 = g.fixture_by_name("torus-T1").surface
+    s2 = g.fixture_by_name("torus-T2").surface
     for surface in (s1, s2):
         pres = g.build_quiver(surface)
         check(failures, len(pres.quiver.vertices) == 12, "|Q0| != 12")
@@ -297,7 +297,7 @@ def test_criterion_6_counting_identities(products):
 
 def test_criterion_7_annulus_anchor():
     failures = []
-    surface = g.fixture_by_name("annulus(1,1)").surface()
+    surface = g.fixture_by_name("annulus(1,1)").surface
     pres = g.build_quiver(surface)
     table = g.hh_dims_oracle(g.build_complex(pres, 6), 0)
     check(failures, table.dims[0] == 1, "oracle HH^0 = %d" % table.dims[0])

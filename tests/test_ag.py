@@ -5,7 +5,7 @@ from gentlehh import (AGInvariant, ag_invariant, build_quiver, compare_ag,
 
 
 def surface_for(name):
-    return fixture_by_name(name).surface()
+    return fixture_by_name(name).surface
 
 
 def test_fig8_invariant():

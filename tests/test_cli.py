@@ -3,6 +3,7 @@ import copy
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -101,8 +102,7 @@ def test_analyze_disagreement_exits_3(fixture_file, capsys, monkeypatch):
     import gentlehh.report as report_module
 
     def doctored(presentation, characteristic, nmax):
-        return HHTable(characteristic=characteristic,
-                       dims=tuple([99] * (nmax + 1)), method="rr")
+        return HHTable(dims=tuple([99] * (nmax + 1)))
 
     monkeypatch.setattr(report_module, "hh_dims_rr", doctored)
     code = cli.main(["analyze", fixture_file("fig8")])
@@ -133,7 +133,9 @@ def test_crosscheck_polygons(capsys):
 
 
 def test_crosscheck_builds_each_polygon_just_before_its_analyses(monkeypatch, capsys):
+    import gentlehh.corpus as corpus_module
     import gentlehh.report as report_module
+    fixtures = [f.data.name for f in builtin_fixtures()]
     calls = []
     build, analyze = cli.build_surface, report_module.analyze
 
@@ -146,6 +148,7 @@ def test_crosscheck_builds_each_polygon_just_before_its_analyses(monkeypatch, ca
         return analyze(surface, characteristic, nmax, *args)
 
     monkeypatch.setattr(cli, "build_surface", recording_build)
+    monkeypatch.setattr(corpus_module, "build_surface", recording_build)
     monkeypatch.setattr(report_module, "analyze", recording_analyze)
     assert cli.main(["crosscheck", "fixtures", "--polygons", "4..5", "--nmax", "4"]) == 0
     assert "12 instance(s), 0 disagreement(s)" in capsys.readouterr().out
@@ -155,7 +158,6 @@ def test_crosscheck_builds_each_polygon_just_before_its_analyses(monkeypatch, ca
 
     # every fixture is validated before any output, then each polygon is
     # built just before its two analyses
-    fixtures = [f.data.name for f in builtin_fixtures()]
     expected = [("build", name) for name in fixtures]
     expected += [call for name in fixtures for call in analyses(name)]
     for n in (4, 5):
@@ -238,12 +240,26 @@ def assert_one_line_error(code, capsys):
     ["crosscheck", "--polygons", "x..y"],
     ["crosscheck", "--polygons", "9..4"],
     ["generate", "--polygon", "3", "--out", "OUT"],
+    ["analyze", "FIG8", "--char", "1"],
+    ["analyze", "FIG8", "--char", "-2"],
+    # primes, but too large to test by trial division
+    ["analyze", "FIG8", "--nmax", "3", "--char", "100000000000031"],
+    ["analyze", "FIG8", "--nmax", "3", "--char", "1000000000000000003"],
 ))
 def test_out_of_range_arguments_exit_2(argv, fixture_file, tmp_path, capsys):
     path, out_dir = fixture_file("fig8"), tmp_path / "out"
+    start = time.perf_counter()
     code = cli.main([{"FIG8": path, "OUT": str(out_dir)}.get(arg, arg) for arg in argv])
+    assert time.perf_counter() - start < 1
     assert_one_line_error(code, capsys)
     assert not out_dir.exists()
+
+
+def test_the_largest_accepted_characteristic_is_the_prime_2_31_minus_1(fixture_file,
+                                                                         capsys):
+    assert cli.main(["analyze", fixture_file("square-disc"), "--nmax", "3",
+                     "--char", str(2**31 - 1)]) == 0
+    assert "characteristic 2147483647" in capsys.readouterr().out
 
 
 def test_generate_onto_an_existing_file_exits_2(tmp_path, capsys):

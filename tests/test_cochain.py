@@ -14,7 +14,7 @@ from gentlehh.report import compute_tables
 
 
 def presentation_for(name):
-    return build_quiver(fixture_by_name(name).surface())
+    return build_quiver(fixture_by_name(name).surface)
 
 
 def test_rank_over_rationals():
@@ -245,7 +245,7 @@ def random_polygon(n, seed):
 
 @pytest.mark.parametrize("char", (3, 5))
 def test_four_way_agreement_at_odd_primes(char):
-    surfaces = [fixture_by_name(name).surface()
+    surfaces = [fixture_by_name(name).surface
                 for name in ("square-disc", "annulus(1,1)", "fig8",
                              "torus-T1", "torus-T2")]
     surfaces.append(random_polygon(60, 11))

@@ -91,21 +91,21 @@ def test_builtin_fixtures_load_and_validate():
     assert set(fixtures) == {"square-disc", "annulus(1,1)", "fig8",
                              "torus-T1", "torus-T2"}
     fig8 = fixtures["fig8"]
-    s = fig8.surface()
+    s = fig8.surface
     assert len(s.arcs) == 7
     assert len(s.triangles) == 6
     assert fig8.expected["arrows"] == 11
-    assert fixtures["torus-T1"].surface().arcs == tuple(
+    assert fixtures["torus-T1"].surface.arcs == tuple(
         sorted(["t%d" % i for i in range(1, 13)], key=lambda x: (len(x), x)))
     annulus = fixtures["annulus(1,1)"]
-    assert len(annulus.surface().arcs) == 2
-    assert len(annulus.surface().triangles) == 2
+    assert len(annulus.surface.arcs) == 2
+    assert len(annulus.surface.triangles) == 2
 
 
 def test_fixture_expected_counts_hold():
     from gentlehh import build_quiver, sint_count
     for fx in builtin_fixtures():
-        s = fx.surface()
+        s = fx.surface
         p = build_quiver(s)
         exp = fx.expected
         assert s.genus == exp["genus"]
@@ -123,7 +123,7 @@ def test_fixture_expected_counts_hold():
 def test_fixture_expected_tables_hold():
     from gentlehh import ag_invariant
     for fx in builtin_fixtures():
-        s = fx.surface()
+        s = fx.surface
         exp = fx.expected
         assert list(hh_dims_geometric(s, 0, 13).table.dims) == exp["hh_char0"]
         assert list(hh_dims_geometric(s, 2, 13).table.dims) == exp["hh_char2"]

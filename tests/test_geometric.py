@@ -6,7 +6,7 @@ from gentlehh import (build_quiver, build_surface, fixture_by_name,
 
 
 def surface_for(name):
-    return fixture_by_name(name).surface()
+    return fixture_by_name(name).surface
 
 
 def test_fig8_char0():
@@ -54,7 +54,7 @@ def test_hh1_remark_values():
 
 
 def test_hh1_remark_equals_quiver_expression():
-    instances = [fixture_by_name(n).surface()
+    instances = [fixture_by_name(n).surface
                  for n in ("square-disc", "annulus(1,1)", "fig8",
                            "torus-T1", "torus-T2")]
     instances += [build_surface(t) for t in generate_polygon_triangulations(6)]

@@ -2,14 +2,15 @@ import pytest
 from test_cochain import random_polygon
 
 from gentlehh import (Arrow, GentlePresentation, ParallelPairFamily, Path,
-                      Quiver, ap_paths, build_quiver, build_surface, builtin_fixtures, coinvariant_dim,
-                      fixture_by_name, generate_polygon_triangulations,
+                      Quiver, ap_paths, build_complex, build_quiver, build_surface,
+                      builtin_fixtures, coinvariant_dim, fixture_by_name,
+                      generate_polygon_triangulations, hh_dims_oracle,
                       hh_dims_rr, pair_order, rotate, rr_sets)
 from gentlehh.linalg import rank
 
 
 def presentation_for(name):
-    return build_quiver(fixture_by_name(name).surface())
+    return build_quiver(fixture_by_name(name).surface)
 
 
 def test_ap0_and_ap1():
@@ -137,6 +138,19 @@ def test_minimal_nmax():
         hh_dims_rr(p, 0, 0)
 
 
+@pytest.mark.parametrize("vertices, ends, nmax, unreached, oracle", [
+    (("u", "v", "w", "x"), ((0, 1), (2, 3)), 4, "w", (2, 0, 0, 0, 0)),
+    (("a", "b"), (), 3, "b", (2, 0, 0, 0)),
+])
+def test_rr_rejects_a_disconnected_quiver(vertices, ends, nmax, unreached, oracle):
+    # rr's formulas assume a connected algebra; the oracle sums the components
+    arrows = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))
+    p = GentlePresentation(Quiver(vertices, arrows))
+    with pytest.raises(ValueError, match="vertex %s is not reachable" % unreached):
+        hh_dims_rr(p, 0, nmax)
+    assert hh_dims_oracle(build_complex(p, nmax), 0).dims == oracle
+
+
 # Brute-force references: AP_n rebuilt from scratch for every degree, the
 # pair scan over AP_n x basis, the complete0 test over every arrow, and the
 # orbit count as the number of distinct rotation orbits.
@@ -177,7 +191,7 @@ def reference_rr_sets(p, n):
                        or (g.idx != first and (last, g.idx) in relations)
                        for g in arrows)
 
-    fields = dict(degree=n, ap=tuple(ap), pairs=pairs, set_a=(), zero_zero=(),
+    fields = dict(ap=tuple(ap), pairs=pairs, set_a=(), zero_zero=(),
                   complete=(), incomplete=(), complete0=(), gentle_complete=(),
                   empty_incomplete=(),
                   loop_pairs=tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
@@ -235,7 +249,7 @@ def extra_relation_presentation(side, k):
 def brute_force_instances(group):
     """(name, factory of a fresh presentation) for one group of instances."""
     if group == "fixtures":
-        surfaces = [(f.name, f.surface()) for f in builtin_fixtures()]
+        surfaces = [(f.name, f.surface) for f in builtin_fixtures()]
     elif group == "polygons 4..8":
         surfaces = [(d.name, build_surface(d)) for n in range(4, 9)
                     for d in generate_polygon_triangulations(n)]

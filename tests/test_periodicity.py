@@ -6,15 +6,17 @@ unverified full builds: every degree of the complex assembled and ranked
 up to nmax + 1, and the rr formula over rr_sets of every degree.
 """
 
+import random
+
 import pytest
 from test_cochain import random_polygon
 from test_pairs import extra_relation_presentation
 
-from gentlehh import (Arrow, GentlePresentation, Path, Quiver, build_complex,
-                      build_quiver, build_surface, builtin_fixtures,
-                      coinvariant_dim, fixture_by_name,
-                      generate_polygon_triangulations, hh_dims_oracle,
-                      hh_dims_rr, rr_sets, verify_period)
+from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError, Path,
+                      Quiver, build_complex, build_quiver, build_surface,
+                      builtin_fixtures, check_gentle, coinvariant_dim,
+                      fixture_by_name, generate_polygon_triangulations,
+                      hh_dims_oracle, hh_dims_rr, rr_sets, verify_period)
 from gentlehh import cochain as cochain_module
 from gentlehh import pairs as pairs_module
 from gentlehh.cochain import BUILT_TOP
@@ -81,7 +83,7 @@ def chain_presentation(length):
 def instances(group):
     """(name, presentation factory, nmax) for one group."""
     if group == "fixtures":
-        surfaces = [(f.name, f.surface()) for f in builtin_fixtures()]
+        surfaces = [(f.name, f.surface) for f in builtin_fixtures()]
     elif group == "polygons 4..8":
         surfaces = [(d.name, build_surface(d)) for n in range(4, 9)
                     for d in generate_polygon_triangulations(n)]
@@ -89,7 +91,7 @@ def instances(group):
         surfaces = [("60-gon", random_polygon(60, 11))]
     elif group.startswith("torus-T1"):
         nmax = int(group.split()[-1])
-        surface = fixture_by_name("torus-T1").surface()
+        surface = fixture_by_name("torus-T1").surface
         return [("torus-T1", lambda: build_quiver(surface), nmax)]
     else:
         made = [("chain 4", lambda: chain_presentation(4))]
@@ -130,7 +132,7 @@ def test_zero_paths_and_differentials_repeat_on_surfaces(group):
 
 
 def test_built_degrees_do_not_grow_with_nmax():
-    surfaces = ([f.surface() for f in builtin_fixtures()]
+    surfaces = ([f.surface for f in builtin_fixtures()]
                 + [build_surface(d) for d in generate_polygon_triangulations(7)]
                 + [random_polygon(60, 11)])
     for surface in surfaces:
@@ -153,7 +155,7 @@ def test_rr_enumerates_one_period(monkeypatch):
         return original(presentation, n)
 
     monkeypatch.setattr(pairs_module, "rr_sets", counting)
-    hh_dims_rr(build_quiver(fixture_by_name("torus-T1").surface()), 0, 240)
+    hh_dims_rr(build_quiver(fixture_by_name("torus-T1").surface), 0, 240)
     assert degrees == list(range(RR_BUILT_TOP + 1))
 
 
@@ -161,7 +163,7 @@ def test_rr_enumerates_one_period(monkeypatch):
                                            (2, [2, 3, 4, 5])])
 def test_oracle_ranks_each_differential_of_one_period_once(monkeypatch, char, ranked):
     # in characteristic 2 the period of the ranks is 3: D_6..D_8 reuse D_3..D_5
-    p = build_quiver(fixture_by_name("torus-T1").surface())
+    p = build_quiver(fixture_by_name("torus-T1").surface)
     complex_ = build_complex(p, 13)
     degrees = []
     original = cochain_module.rank
@@ -177,7 +179,7 @@ def test_oracle_ranks_each_differential_of_one_period_once(monkeypatch, char, ra
 
 
 def test_rr_tail_note_names_the_period_only_when_it_is_used():
-    torus = build_quiver(fixture_by_name("torus-T1").surface())
+    torus = build_quiver(fixture_by_name("torus-T1").surface)
     for char, nmax in ((0, 13), (2, 60)):
         assert hh_dims_rr(torus, char, nmax).tail_note == \
             "degrees 0..5 enumerated, then period 3"
@@ -193,7 +195,7 @@ def test_presentation_without_a_period_builds_every_degree():
 
 
 def torus_complex():
-    p = build_quiver(fixture_by_name("torus-T1").surface())
+    p = build_quiver(fixture_by_name("torus-T1").surface)
     return p, build_complex(p, 240)
 
 
@@ -216,7 +218,7 @@ def test_a_wrong_shift_raises(monkeypatch):
     with pytest.raises(AssertionError, match="bases"):
         verify_period(p, complex_)
 
-    p = build_quiver(fixture_by_name("torus-T1").surface())
+    p = build_quiver(fixture_by_name("torus-T1").surface)
     assert p.periodic
     two_thirds_of_a_turn = lambda rho: Path(rho.source, rho.arrows[:2] + rho.arrows)  # noqa: E731
     monkeypatch.setattr(p, "shift", two_thirds_of_a_turn)
@@ -225,11 +227,75 @@ def test_a_wrong_shift_raises(monkeypatch):
 
 
 def test_rr_counts_that_break_the_period_raise(monkeypatch):
-    original = pairs_module.coinvariant_dim
+    original = pairs_module.rr_sets
 
-    def off_by_one_at_the_check(presentation, n, characteristic=0, family=None):
-        return original(presentation, n, characteristic, family) + (n == RR_BUILT_TOP)
+    def off_by_one_at_the_check(presentation, n):
+        family = original(presentation, n)
+        return family._replace(gentle_orbits=family.gentle_orbits + (n == RR_BUILT_TOP))
 
-    monkeypatch.setattr(pairs_module, "coinvariant_dim", off_by_one_at_the_check)
+    monkeypatch.setattr(pairs_module, "rr_sets", off_by_one_at_the_check)
     with pytest.raises(AssertionError, match="rr counts"):
-        hh_dims_rr(build_quiver(fixture_by_name("torus-T1").surface()), 0, 60)
+        hh_dims_rr(build_quiver(fixture_by_name("torus-T1").surface), 0, 60)
+
+
+def random_loop_quiver(rng):
+    """Vertices, arrows and relations of a quiver on at most 6 vertices with
+    one or two loops, each loop a under the relation (a, a), and each other
+    composable pair a relation with probability 1/2."""
+    k = rng.randint(1, 6)
+    ends = [(v, v) for v in rng.sample(range(k), rng.randint(1, min(k, 2)))]
+    ends += [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(k - 1, k + 2))]
+    arrows = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))
+    relations = {(a.idx, b.idx) for a in arrows for b in arrows
+                 if a.target == b.source and (a == b or rng.random() < 0.5)}
+    return tuple("v%d" % v for v in range(k)), arrows, relations
+
+
+def loop_quivers(count, seed):
+    """``count`` draws of :func:`random_loop_quiver` whose presentation is
+    connected, gentle and finite dimensional."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        vertices, arrows, relations = drawn = random_loop_quiver(rng)
+        reached = {0}
+        for _ in vertices:
+            reached |= {w for a in arrows if {a.source, a.target} & reached
+                        for w in (a.source, a.target)}
+        p = GentlePresentation(Quiver(vertices, arrows), (), relations)
+        if len(reached) < len(vertices) or check_gentle(p):
+            continue
+        try:
+            p.basis
+        except InfiniteDimensionalError:
+            continue
+        found.append(drawn)
+    return found
+
+
+def test_a_loop_under_its_own_relation_is_its_own_turn():
+    # k[a]/(a^2): HH^n is 1 for n >= 1, and 2 in characteristic 2, where
+    # the loop adds to HH^1
+    p = GentlePresentation(Quiver(("v",), (Arrow(0, 0, 0),)), (), {(0, 0)})
+    assert p.periodic
+    assert p.shift(Path(0, (0, 0))) == Path(0, (0,) * 5) == p.zero_paths(5)[0]
+    assert len(rr_sets(p, 1).loop_pairs) == 1
+    for char, tail in ((0, 1), (2, 2), (3, 1)):
+        assert hh_dims_rr(p, char, 14).dims == (2,) + (tail,) * 14
+        assert hh_dims_oracle(build_complex(p, 14), char).dims == (2,) + (tail,) * 14
+
+
+def test_presentations_with_loops_agree_and_their_period_is_exact():
+    periodic = 0
+    for vertices, arrows, relations in loop_quivers(44, seed=0):
+        p, full = (GentlePresentation(Quiver(vertices, arrows), (), relations)
+                   for _ in range(2))
+        full.periodic = False  # the degree-by-degree reference
+        assert p.loops
+        periodic += p.periodic
+        for char in (0, 2, 3):
+            rr = hh_dims_rr(p, char, 14).dims
+            assert rr == hh_dims_oracle(build_complex(p, 14), char).dims
+            assert rr == hh_dims_rr(full, char, 14).dims
+            assert rr == hh_dims_oracle(build_complex(full, 14), char).dims
+    assert periodic >= 30

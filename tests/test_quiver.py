@@ -10,7 +10,7 @@ from gentlehh.quiver import Violation
 
 
 def presentation_for(name):
-    return build_quiver(fixture_by_name(name).surface())
+    return build_quiver(fixture_by_name(name).surface)
 
 
 def arrow_names(p):

@@ -45,7 +45,7 @@ def test_square_disc_boundary_profile():
 
 
 def test_fig8_topology():
-    s = fixture_by_name("fig8").surface()
+    s = fixture_by_name("fig8").surface
     assert (s.genus, len(s.boundary_components), len(s.marked_points)) == (0, 3, 4)
     assert len(s.arcs) == 7
     assert len(s.boundary_segments) == 4
@@ -55,7 +55,7 @@ def test_fig8_topology():
 
 
 def test_fig8_internal_triangle_arcs():
-    s = fixture_by_name("fig8").surface()
+    s = fixture_by_name("fig8").surface
     triples = {frozenset(side.label for side in s.triangles[i].sides)
                for i in internal_triangles(s)}
     assert triples == {frozenset({"t1", "t5", "t7"}),
@@ -64,34 +64,34 @@ def test_fig8_internal_triangle_arcs():
 
 
 def test_fig8_boundary_types():
-    profiles = classify_boundaries(fixture_by_name("fig8").surface())
+    profiles = classify_boundaries(fixture_by_name("fig8").surface)
     tags = sorted(p.type_tag for p in profiles)
     assert tags == ["type0", "type1", "type1"]
 
 
 def test_torus_fixtures_topology():
     for name in ("torus-T1", "torus-T2"):
-        s = fixture_by_name(name).surface()
+        s = fixture_by_name(name).surface
         assert (s.genus, len(s.boundary_components), len(s.marked_points)) == (1, 2, 6)
         assert len(s.arcs) == 12
         assert len(internal_triangles(s)) == 4
 
 
 def test_torus_t1_boundary_pairs():
-    profiles = classify_boundaries(fixture_by_name("torus-T1").surface())
+    profiles = classify_boundaries(fixture_by_name("torus-T1").surface)
     assert sorted((p.n_incident, p.m_segments) for p in profiles) == [(3, 3), (3, 3)]
     assert all(p.type_tag == "other" for p in profiles)
 
 
 def test_annulus_boundary_pairs():
-    profiles = classify_boundaries(fixture_by_name("annulus(1,1)").surface())
+    profiles = classify_boundaries(fixture_by_name("annulus(1,1)").surface)
     assert [(p.n_incident, p.m_segments) for p in profiles] == [(1, 1), (1, 1)]
 
 
 def test_torus_t1_sint_forced_by_side_count():
     # 3F = 2*arcs + segments pins F = 10; with 4 internal triangles the
     # remaining 6 each carry exactly one boundary side.
-    s = fixture_by_name("torus-T1").surface()
+    s = fixture_by_name("torus-T1").surface
     assert len(s.triangles) == 10
     assert sint_count(s) == 6
 
@@ -99,7 +99,7 @@ def test_torus_t1_sint_forced_by_side_count():
 def test_counting_identities_on_fixtures():
     from gentlehh import builtin_fixtures
     for fx in builtin_fixtures():
-        s = fx.surface()
+        s = fx.surface
         V, E, F = (len(s.marked_points),
                    len(s.arcs) + len(s.boundary_segments),
                    len(s.triangles))
@@ -176,7 +176,7 @@ def test_rebuild_from_serialized_form_is_identity():
     from gentlehh import fileformat
     for name in ("fig8", "torus-T1"):
         fx = fixture_by_name(name)
-        s1 = fx.surface()
+        s1 = fx.surface
         s2 = build_surface(fileformat.loads(fileformat.dumps(fx.data)))
         assert s1.arcs == s2.arcs
         assert s1.genus == s2.genus
@@ -187,7 +187,7 @@ def test_rebuild_from_serialized_form_is_identity():
 
 def test_census_is_computed_once_and_kept_immutable():
     from gentlehh import builtin_fixtures, generate_polygon_triangulations
-    surfaces = [fx.surface() for fx in builtin_fixtures()]
+    surfaces = [fx.surface for fx in builtin_fixtures()]
     surfaces += [build_surface(d) for n in range(4, 8)
                  for d in generate_polygon_triangulations(n)]
     for s in surfaces:
@@ -256,7 +256,7 @@ def test_boundary_data_matches_a_scan_of_the_sides(monkeypatch):
         return profiles(components, fans)
 
     monkeypatch.setattr(surface_module, "_boundary_profiles", recording_profiles)
-    surfaces = [fx.surface() for fx in fixtures]
+    surfaces = [build_surface(fx.data) for fx in fixtures]
     surfaces += [build_surface(d) for n in range(4, 9)
                  for d in generate_polygon_triangulations(n)]
     surfaces.append(random_polygon(60, 11))
