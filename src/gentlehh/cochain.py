@@ -39,7 +39,8 @@ the same loop.
 from typing import NamedTuple
 
 from .linalg import check_characteristic, nullity, rank
-from .pairs import HHTable, ap_paths, parallel_pairs
+# unused here, but bench/tracer.py wraps gentlehh.cochain.ap_paths by name
+from .pairs import HHTable, ap_paths  # noqa: F401
 from .quiver import GentlePresentation, Path
 
 PERIOD_START, PERIOD = 3, 6
@@ -76,9 +77,18 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     Propagates :class:`InfiniteDimensionalError` from basis enumeration.
     The complex property D_{n+1} D_n = 0 is asserted over the integers on
     every build, and the period on every build that uses it.
+
+    The complex holds no characteristic, so it is built once per
+    presentation and nmax and cached in ``presentation.complexes``; a
+    failed check caches nothing.  :func:`build_quiver` hands the same
+    presentation back only for the same surface object, which is
+    immutable, so a cached complex always belongs to its quiver.  Its
+    lists are shared by every caller and must not be changed.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
+    if nmax in presentation.complexes:
+        return presentation.complexes[nmax]
     arrows = presentation.quiver.arrows
     top = nmax + 1
     period = PERIOD if top > BUILT_TOP and presentation.periodic else 0
@@ -86,7 +96,7 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     bases = []
     differentials = [None]
     for n in range(BUILT_TOP + 1 if period else top + 1):
-        bases.append(parallel_pairs(presentation, ap_paths(presentation, n)))
+        bases.append(list(presentation.parallel_pairs(n)))
         if n == 0:
             continue
         # D_n(rho, delta) reads f at (tail, delta without its first arrow)
@@ -114,6 +124,7 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     verify_complex_property(complex_)
     if period:
         verify_period(presentation, complex_)
+    presentation.complexes[nmax] = complex_
     return complex_
 
 

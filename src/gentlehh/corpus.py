@@ -84,11 +84,18 @@ def fixture_documents():
         yield filename, json.loads(text)
 
 
-def load_fixture_document(doc, origin="fixture") -> Fixture:
+def _parse_fixture(doc, origin) -> TriangulationInput:
     try:
-        data = fileformat.parse_triangulation(doc)
+        return fileformat.parse_triangulation(doc)
+    except fileformat.FormatError as exc:
+        raise FixtureCorrupt("%s: %s" % (origin, exc))
+
+
+def load_fixture_document(doc, origin="fixture") -> Fixture:
+    data = _parse_fixture(doc, origin)
+    try:
         surface = build_surface(data)
-    except (fileformat.FormatError, SurfaceError) as exc:
+    except SurfaceError as exc:
         raise FixtureCorrupt("%s: %s" % (origin, exc))
     return Fixture(name=data.name, data=data, surface=surface,
                    expected=doc.get("expected", {}))
@@ -101,7 +108,9 @@ def builtin_fixtures() -> list[Fixture]:
 
 
 def fixture_by_name(name: str) -> Fixture:
-    for fixture in builtin_fixtures():
-        if fixture.name == name:
-            return fixture
+    """The shipped fixture called ``name``; every document is parsed, only
+    that one is built and validated.  An unknown name is a KeyError."""
+    for filename, doc in fixture_documents():
+        if _parse_fixture(doc, filename).name == name:
+            return load_fixture_document(doc, origin=filename)
     raise KeyError(name)

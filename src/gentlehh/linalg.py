@@ -8,6 +8,7 @@ divided by the gcd of its entries in characteristic 0.  Rows are taken in order 
 column, so repeated runs eliminate identically.
 """
 
+from functools import cache
 from math import gcd
 
 
@@ -22,9 +23,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+@cache
 def check_characteristic(char: int):
     """Accept 0 or a prime below 2**31, where trial division takes at most
-    46341 steps; anything else is a ValueError."""
+    46341 steps; anything else is a ValueError.  An accepted value is
+    remembered, so each is trial-divided once per process however many
+    layers check it."""
     if char != 0 and not (char < 2**31 and is_prime(char)):
         raise ValueError("characteristic must be 0 or a prime below 2**31, got %r"
                          % char)

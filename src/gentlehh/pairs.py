@@ -68,16 +68,6 @@ def ap_paths(presentation: GentlePresentation, n: int) -> list[Path]:
     return list(presentation.zero_paths(n))
 
 
-def parallel_pairs(presentation: GentlePresentation,
-                   ap: list[Path]) -> list[tuple[Path, Path]]:
-    """Each zero path of ``ap`` with each of its parallel basis paths, in
-    the order of ``ap`` and then of the basis; the degree-n pairs of both
-    the rr families and the cochain basis."""
-    parallel = presentation.parallel  # may raise InfiniteDimensionalError
-    return [(rho, gamma) for rho in ap for gamma in
-            parallel.get((rho.source, presentation.path_target(rho)), ())]
-
-
 def rotate(presentation: GentlePresentation, rho: Path) -> Path:
     """The rotation action on cyclic zero paths: move the last arrow in
     front.  Only defined when the chain is a cycle."""
@@ -106,13 +96,14 @@ def _orbits(presentation: GentlePresentation, rhos) -> list[list[Path]]:
 
 
 def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
-    """Populate every degree-n pair family: the pairs come from the
-    (source, target) index, each subfamily is a predicate filter."""
+    """Populate every degree-n pair family: the pairs are the
+    presentation's degree-n parallel pairs, each subfamily is a predicate
+    filter."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     relations = presentation.relations
     ap = ap_paths(presentation, n)
-    pairs = tuple(parallel_pairs(presentation, ap))
+    pairs = presentation.parallel_pairs(n)
 
     set_a = ()
     if n == 0:
@@ -215,22 +206,25 @@ def _unreachable_vertex(quiver) -> int | None:
     return next((v for v in range(len(quiver.vertices)) if v not in reached), None)
 
 
-def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
-               nmax: int) -> HHTable:
-    """Hochschild dimensions from the pair-family counts.
+class RRCounts(NamedTuple):
+    """The characteristic-free counts :func:`hh_dims_rr` combines: the
+    degree-0 annihilated cycle pairs, the loop pairs, and ``degrees[n]``
+    for n >= 1, the zero_zero and empty_incomplete sizes and the gentle
+    complete orbits of degree n; ``periodic`` when degrees past
+    RR_BUILT_TOP repeat the counts three below."""
 
-    Degree 0 counts the annihilated cycle pairs, degree 1 corrects the
-    arrow surplus (plus the loop count in characteristic 2), and degree
-    n >= 2 combines the two family counts with the parity-weighted
-    coinvariant dimensions of degrees n and n-1.  When the zero paths
-    repeat, degrees past RR_BUILT_TOP repeat the counts three below, and
-    the tail note says so.  The orbit counts are the ones each family
-    records.  The formulas hold for a connected quiver only, so one with a
-    vertex unreachable from vertex 0 is a ValueError.
-    """
-    check_characteristic(characteristic)
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
+    set_a: int
+    loop_pairs: int
+    degrees: tuple
+    periodic: bool
+
+
+def _rr_counts(presentation: GentlePresentation, nmax: int) -> RRCounts:
+    """The rr counts of degrees 0..nmax, built once per presentation and
+    nmax, with the connectivity check and the period check; a failed
+    check caches nothing."""
+    if nmax in presentation.rr_counts:
+        return presentation.rr_counts[nmax]
     quiver = presentation.quiver
     unreached = _unreachable_vertex(quiver)
     if unreached is not None:
@@ -240,25 +234,53 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     periodic = nmax > RR_BUILT_TOP and presentation.periodic
     families = [rr_sets(presentation, n)
                 for n in range(RR_BUILT_TOP + 1 if periodic else nmax + 1)]
-    # (zero_zero, empty_incomplete, gentle complete orbits) per degree >= 1
-    counts = [None] + [(len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
-                       for f in families[1:]]
+    degrees = [None] + [(len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
+                        for f in families[1:]]
     if periodic:
-        if counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
+        if degrees[RR_BUILT_TOP] != degrees[RR_BUILT_TOP - 3]:
             raise AssertionError("rr counts of degree %d differ from degree %d"
                                  % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
         for n in range(RR_BUILT_TOP + 1, nmax + 1):
-            counts.append(counts[n - 3])
+            degrees.append(degrees[n - 3])
+    counts = presentation.rr_counts[nmax] = RRCounts(
+        set_a=len(families[0].set_a), loop_pairs=len(families[1].loop_pairs),
+        degrees=tuple(degrees), periodic=periodic)
+    return counts
 
-    dims = [1 + len(families[0].set_a)]
-    hh1 = 1 + counts[1][0] + len(quiver.arrows) - len(quiver.vertices)
+
+def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
+               nmax: int) -> HHTable:
+    """Hochschild dimensions from the pair-family counts.
+
+    Degree 0 counts the annihilated cycle pairs, degree 1 corrects the
+    arrow surplus (plus the loop count in characteristic 2), and degree
+    n >= 2 combines the two family counts with the parity-weighted
+    coinvariant dimensions of degrees n and n-1.  When the zero paths
+    repeat, degrees past RR_BUILT_TOP repeat the counts three below, and
+    the tail note says so.  The formulas hold for a connected quiver only,
+    so one with a vertex unreachable from vertex 0 is a ValueError.
+
+    The counts do not depend on the characteristic: they are cached in
+    ``presentation.rr_counts``, keyed by nmax, and only the weighted sum
+    runs per call.  :func:`build_quiver` hands the same presentation back
+    only for the same surface object, which is immutable, so the cached
+    counts always belong to the quiver they are read with.
+    """
+    check_characteristic(characteristic)
+    if nmax < 1:
+        raise ValueError("nmax must be at least 1")
+    counts = _rr_counts(presentation, nmax)
+    degrees = counts.degrees
+    quiver = presentation.quiver
+    dims = [1 + counts.set_a]
+    hh1 = 1 + degrees[1][0] + len(quiver.arrows) - len(quiver.vertices)
     if characteristic == 2:
-        hh1 += len(families[1].loop_pairs)
+        hh1 += counts.loop_pairs
     dims.append(hh1)
     for n in range(2, nmax + 1):
         a, b = parity_weights(characteristic, n)
-        zero_zero, empty_incomplete, orbits = counts[n]
-        dims.append(zero_zero + empty_incomplete + a * orbits + b * counts[n - 1][2])
+        zero_zero, empty_incomplete, orbits = degrees[n]
+        dims.append(zero_zero + empty_incomplete + a * orbits + b * degrees[n - 1][2])
     tail_note = ("degrees 0..%d enumerated, then period 3" % RR_BUILT_TOP
-                 if periodic else "computed degree by degree")
+                 if counts.periodic else "computed degree by degree")
     return HHTable(dims=tuple(dims), tail_note=tail_note)

@@ -99,8 +99,12 @@ class GentlePresentation:
     the zero paths, the 3-cycle turns and :meth:`annihilated` all read it.
     Cached on first use: the zero-path levels (AP_n extended from
     AP_{n-1}), ``basis``, ``parallel`` (the basis paths by (source,
-    target), in basis order) and ``periodic`` (whether the levels repeat
-    under :meth:`shift`).
+    target), in basis order), the parallel-pair levels and ``periodic``
+    (whether the levels repeat under :meth:`shift`).  ``complexes`` and
+    ``rr_counts``, keyed by nmax, hold what :func:`cochain.build_complex`
+    and :func:`pairs.hh_dims_rr` derive from it, each checked once when
+    built.  Nothing cached holds a characteristic, so one presentation
+    serves every characteristic; it changes only by filling these caches.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
@@ -112,6 +116,9 @@ class GentlePresentation:
             if a.target != b.source:
                 raise ValueError("relation %d,%d is not a composable pair" % (first, second))
         self._zero_paths = []
+        self._parallel_pairs = []
+        self.complexes = {}
+        self.rr_counts = {}
         self.loops = tuple(a for a in quiver.arrows if a.source == a.target)
         self.relation_midpoints = frozenset(
             quiver.arrows[first].target for first, _ in relations)
@@ -181,6 +188,19 @@ class GentlePresentation:
             levels.append(_extend(levels[-1], [nb.rel_after for nb in self.neighbours]))
         return levels[n]
 
+    def parallel_pairs(self, n: int) -> tuple[tuple[Path, Path], ...]:
+        """Each degree-n zero path with each of its parallel basis paths, in
+        the order of AP_n and then of the basis: the degree-n pairs of both
+        the rr families and the cochain basis.  May raise
+        :class:`InfiniteDimensionalError` from the basis."""
+        levels = self._parallel_pairs
+        while len(levels) <= n:
+            parallel = self.parallel
+            levels.append(tuple(
+                (rho, gamma) for rho in self.zero_paths(len(levels))
+                for gamma in parallel.get((rho.source, self.path_target(rho)), ())))
+        return levels[n]
+
     def shift(self, rho: Path) -> Path:
         """The zero path rho with one more full turn around the relation
         3-cycle a -> b -> c of its first arrow a, inserted in front: a b ...
@@ -211,13 +231,36 @@ class GentlePresentation:
         return len(self.basis)
 
 
+# (surface, presentation) of the last build_quiver call, or None
+_last_built = None
+
+
 def build_quiver(surface: TriangulatedSurface) -> GentlePresentation:
     """Build the bound quiver of a triangulated surface.
 
     Arrows are created scanning triangles in input order and side positions
     in ccw order, so ids are reproducible.  Gentleness is verified and a
     failure aborts: a validated surface can never produce one.
+
+    The presentation of the last call is returned again, caches and all,
+    when the same surface object comes back, so the analyses of one
+    surface at several characteristics share everything that does not
+    depend on the characteristic.  The key is identity, not equality: a
+    surface is immutable and a presentation changes only by filling its
+    caches, so sharing is safe, and an equal surface loaded separately
+    gets a fresh presentation.  The previous entry is dropped before a
+    new build, so at most one presentation is kept.
     """
+    global _last_built
+    if _last_built is not None and _last_built[0] is surface:
+        return _last_built[1]
+    _last_built = None
+    presentation = _build_presentation(surface)
+    _last_built = (surface, presentation)
+    return presentation
+
+
+def _build_presentation(surface: TriangulatedSurface) -> GentlePresentation:
     vertices = surface.arcs
     index = {label: i for i, label in enumerate(vertices)}
 

@@ -262,6 +262,23 @@ def test_the_largest_accepted_characteristic_is_the_prime_2_31_minus_1(fixture_f
     assert "characteristic 2147483647" in capsys.readouterr().out
 
 
+def test_a_characteristic_is_trial_divided_at_most_once(fixture_file, monkeypatch,
+                                                       capsys):
+    from gentlehh import linalg
+    divided = []
+    original = linalg.is_prime
+
+    def recording(p):
+        divided.append(p)
+        return original(p)
+
+    monkeypatch.setattr(linalg, "is_prime", recording)
+    assert cli.main(["analyze", fixture_file("square-disc"), "--nmax", "3",
+                     "--char", str(2**31 - 1)]) == 0
+    capsys.readouterr()
+    assert divided.count(2**31 - 1) <= 1
+
+
 def test_generate_onto_an_existing_file_exits_2(tmp_path, capsys):
     path = tmp_path / "taken"
     path.write_text("")

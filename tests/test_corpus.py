@@ -138,6 +138,38 @@ def test_corrupted_fixture_detected(tmp_path):
         load_fixture_document(doc, origin="doctored")
 
 
+def test_fixture_by_name_builds_only_the_fixture_it_returns(monkeypatch):
+    import gentlehh.corpus as corpus_module
+    built = []
+    original = corpus_module.build_surface
+
+    def recording(data):
+        built.append(data.name)
+        return original(data)
+
+    monkeypatch.setattr(corpus_module, "build_surface", recording)
+    for fx in builtin_fixtures():
+        built.clear()
+        assert fixture_by_name(fx.name) == fx
+        assert built == [fx.name]
+    built.clear()
+    with pytest.raises(KeyError):
+        fixture_by_name("no-such-fixture")
+    assert built == []
+
+
+def test_fixture_by_name_rejects_a_corrupt_match(monkeypatch):
+    import gentlehh.corpus as corpus_module
+    documents = list(corpus_module.fixture_documents())
+    for filename, doc in documents:
+        if doc["name"] == "fig8":
+            doc["triangles"][0][0]["to"] = "nowhere"
+    monkeypatch.setattr(corpus_module, "fixture_documents", lambda: iter(documents))
+    with pytest.raises(FixtureCorrupt, match="fig8"):
+        fixture_by_name("fig8")
+    assert fixture_by_name("torus-T1").name == "torus-T1"
+
+
 def test_fixture_round_trips_through_format(tmp_path):
     from gentlehh import fileformat
     for fx in builtin_fixtures():

@@ -259,7 +259,9 @@ def brute_force_instances(group):
         return [("%s at v%d" % (side, k),
                  lambda side=side, k=k: extra_relation_presentation(side, k))
                 for side in ("in", "out") for k in (0, 1)]
-    return [(name, lambda s=s: build_quiver(s)) for name, s in surfaces]
+    # an equal copy of the surface, so build_quiver cannot hand back the
+    # presentation of the previous call
+    return [(name, lambda s=s: build_quiver(s._replace())) for name, s in surfaces]
 
 
 BRUTE_FORCE_GROUPS = ("fixtures", "polygons 4..8", "60-gon", "extra relations")
@@ -270,6 +272,7 @@ TOP = 15
 def test_cached_zero_paths_match_the_scratch_rebuild(group):
     for name, make in brute_force_instances(group):
         ascending, top_first = make(), make()
+        assert ascending is not top_first
         assert ap_paths(top_first, TOP) == reference_ap_paths(ascending, TOP), name
         for n in range(TOP + 1):
             expected = reference_ap_paths(ascending, n)

@@ -92,13 +92,15 @@ def instances(group):
     elif group.startswith("torus-T1"):
         nmax = int(group.split()[-1])
         surface = fixture_by_name("torus-T1").surface
-        return [("torus-T1", lambda: build_quiver(surface), nmax)]
+        return [("torus-T1", lambda: build_quiver(surface._replace()), nmax)]
     else:
         made = [("chain 4", lambda: chain_presentation(4))]
         made += [("%s at v%d" % (side, k), lambda side=side, k=k: extra_relation_presentation(side, k))
                  for side in ("in", "out") for k in (0, 1)]
         return [(name, make, 30) for name, make in made]
-    return [(name, lambda s=s: build_quiver(s), 20) for name, s in surfaces]
+    # an equal copy of the surface, so build_quiver cannot hand back the
+    # presentation of the previous call
+    return [(name, lambda s=s: build_quiver(s._replace()), 20) for name, s in surfaces]
 
 
 GROUPS = ("fixtures", "polygons 4..8", "60-gon", "torus-T1 nmax 60",
@@ -109,6 +111,7 @@ GROUPS = ("fixtures", "polygons 4..8", "60-gon", "torus-T1 nmax 60",
 def test_periodic_tables_equal_the_full_build(group):
     for name, make, nmax in instances(group):
         p, reference = make(), make()
+        assert p is not reference
         assert p.periodic == (group != "not periodic"), name
         complex_ = build_complex(p, nmax)
         full = reference_complex(reference, nmax)
