@@ -74,20 +74,28 @@ def hh_dims_ladkani(invariant: AGInvariant, q0: int, q1: int,
 
     HH^0 = 1 + phi(1,0); HH^1 = 1 + |Q1| - |Q0| + phi(1,1), plus phi(0,1)
     in characteristic 2; for n >= 2 the dimension is phi(1,n) plus the
-    parity-weighted combination of psi(n) and psi(n-1).
+    parity-weighted combination of psi(n) and psi(n-1).  One scan of the
+    support gives every phi(1, n) and every psi(n) up to nmax.
     """
     check_characteristic(characteristic)
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    dims = [1 + invariant.multiplicity(1, 0)]
-    hh1 = 1 + q1 - q0 + invariant.multiplicity(1, 1)
+    ones = [0] * (nmax + 1)  # ones[n] = phi(1, n)
+    psis = [0] * (nmax + 1)  # psis[n] = psi(n) for n >= 1
+    for (first, m), mult in invariant.support:
+        if first == 1 and m <= nmax:
+            ones[m] = mult
+        elif first == 0 and m >= 1:
+            for multiple in range(m, nmax + 1, m):
+                psis[multiple] += mult
+    hh1 = 1 + q1 - q0 + ones[1]
     if characteristic == 2:
         hh1 += invariant.multiplicity(0, 1)
-    dims.append(hh1)
+    dims = [1 + ones[0], hh1]
+    weights = parity_weights(characteristic, 0), parity_weights(characteristic, 1)
     for n in range(2, nmax + 1):
-        a, b = parity_weights(characteristic, n)
-        dims.append(invariant.multiplicity(1, n)
-                    + a * psi(invariant, n) + b * psi(invariant, n - 1))
+        a, b = weights[n % 2]
+        dims.append(ones[n] + a * psis[n] + b * psis[n - 1])
     return HHTable(dims=tuple(dims), tail_note="from the derived invariant")
 
 

@@ -14,7 +14,8 @@ over the integers, which the builder verifies.
 
 The complex is assembled once, over the integers and independent of the
 characteristic, with sparse differentials: the row of a pair (rho, delta)
-has at most two entries, found by dict lookup.  The characteristic enters
+has at most two entries, found by dict lookup and written straight out
+(one entry 1 + sign when both land in one column).  The characteristic enters
 only in :func:`hh_dims_oracle`, at the rank step.
 
 Only one verified period is built.  When the presentation's zero paths
@@ -41,7 +42,7 @@ from typing import NamedTuple
 from .linalg import check_characteristic, nullity, rank
 # unused here, but bench/tracer.py wraps gentlehh.cochain.ap_paths by name
 from .pairs import HHTable, ap_paths  # noqa: F401
-from .quiver import GentlePresentation, Path
+from .quiver import GentlePresentation
 
 PERIOD_START, PERIOD = 3, 6
 BUILT_TOP = PERIOD_START + PERIOD  # one period, plus D_9 to check against D_3
@@ -54,20 +55,14 @@ class CochainComplex(NamedTuple):
     (1-indexed) is D_n with one row per pair of bases[n], each row a
     tuple of (column, value) pairs with nonzero values and increasing
     columns, indexing bases[n-1].  Both lists hold the built degrees; with
-    a nonzero ``period`` they stop at BUILT_TOP and every later degree is
-    the built one :meth:`built_degree` names.
+    a nonzero ``period`` they stop at BUILT_TOP and every degree n past
+    them repeats the built degree PERIOD_START + (n - PERIOD_START) % period.
     """
 
     bases: list
     differentials: list
     top_degree: int
     period: int = 0
-
-    def built_degree(self, n: int) -> int:
-        """The built degree whose basis and differential degree n repeats."""
-        if self.period and n >= PERIOD_START + self.period:
-            return PERIOD_START + (n - PERIOD_START) % self.period
-        return n
 
 
 def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex:
@@ -99,25 +94,40 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
         bases.append(list(presentation.parallel_pairs(n)))
         if n == 0:
             continue
+        matrix = []
+        differentials.append(matrix)
+        if not bases[n]:
+            continue
         # D_n(rho, delta) reads f at (tail, delta without its first arrow)
         # when that arrow is the first of rho, and at (head, delta without
         # its last arrow) when that is the last of rho; a subpath of a basis
         # path is a basis path, so both columns exist.
         columns = {pair: i for i, pair in enumerate(bases[n - 1])}
         sign = -1 if n % 2 else 1
-        matrix = []
         for rho, delta in bases[n]:
-            entries = {}
-            if delta.arrows and delta.arrows[0] == rho.arrows[0]:
-                tail = Path(arrows[rho.arrows[0]].target, rho.arrows[1:])
-                gamma = Path(tail.source, delta.arrows[1:])
-                entries[columns[(tail, gamma)]] = 1
-            if delta.arrows and delta.arrows[-1] == rho.arrows[-1]:
-                head = Path(rho.source, rho.arrows[:-1])
-                col = columns[(head, Path(delta.source, delta.arrows[:-1]))]
-                entries[col] = entries.get(col, 0) + sign
-            matrix.append(tuple(sorted((c, v) for c, v in entries.items() if v)))
-        differentials.append(matrix)
+            steps = delta.arrows
+            if not steps:
+                matrix.append(())
+                continue
+            first, last = rho.arrows[0], rho.arrows[-1]
+            tail_col = head_col = None
+            # a plain (source, arrows) tuple hashes and compares as the Path
+            if steps[0] == first:
+                after = arrows[first].target
+                tail_col = columns[((after, rho.arrows[1:]), (after, steps[1:]))]
+            if steps[-1] == last:
+                head_col = columns[((rho.source, rho.arrows[:-1]),
+                                    (rho.source, steps[:-1]))]
+            if head_col is None:
+                matrix.append(() if tail_col is None else ((tail_col, 1),))
+            elif tail_col is None:
+                matrix.append(((head_col, sign),))
+            elif tail_col == head_col:
+                matrix.append(((tail_col, 2),) if sign == 1 else ())
+            elif tail_col < head_col:
+                matrix.append(((tail_col, 1), (head_col, sign)))
+            else:
+                matrix.append(((head_col, sign), (tail_col, 1)))
 
     complex_ = CochainComplex(bases=bases, differentials=differentials,
                               top_degree=top, period=period)
@@ -180,13 +190,16 @@ def hh_dims_oracle(complex_: CochainComplex, characteristic: int) -> HHTable:
     """
     check_characteristic(characteristic)
     bases, differentials = complex_.bases, complex_.differentials
-    degree = [complex_.built_degree(n) for n in range(complex_.top_degree + 1)]
-    if characteristic == 2 and complex_.period:
-        degree = [m - 3 if m >= PERIOD_START + 3 else m for m in degree]
-    hh0 = nullity(differentials[1], len(bases[0]), characteristic)
-    ranks = {0: 0, 1: len(bases[0]) - hh0}
-    for m in sorted(set(degree[2:])):
-        ranks[m] = rank(differentials[m], characteristic)
+    top, period = complex_.top_degree, complex_.period
+    if period and characteristic == 2:
+        period = 3
+    # ranked: degrees 0..last; past last, degree n reads the ranked degree
+    # congruent to it mod period from PERIOD_START on
+    last = PERIOD_START + period - 1 if period else top
+    degree = list(range(last + 1)) + [PERIOD_START + (n - PERIOD_START) % period
+                                      for n in range(last + 1, top + 1)]
+    ranks = [0, len(bases[0]) - nullity(differentials[1], len(bases[0]), characteristic)]
+    ranks += [rank(differentials[m], characteristic) for m in range(2, last + 1)]
     dims = [len(bases[degree[n]]) - ranks[degree[n + 1]] - ranks[degree[n]]
-            for n in range(complex_.top_degree)]
+            for n in range(top)]
     return HHTable(dims=tuple(dims), tail_note="exact kernel/rank computation")

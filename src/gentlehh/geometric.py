@@ -40,9 +40,9 @@ def hh_dims_geometric(surface: TriangulatedSurface, characteristic: int = 0,
     q1 = 3 * int_count + sint_count(surface)
 
     modulus = 3 if characteristic == 2 else 6
+    period = [int_count, int_count] + [0] * (modulus - 2)   # by n mod modulus
     dims = [1 + b0, 1 + b1 + q1 - q0]
-    for n in range(2, nmax + 1):
-        dims.append(int_count if n % modulus in (0, 1) else 0)
+    dims += [period[n % modulus] for n in range(2, nmax + 1)]
     table = HHTable(dims=tuple(dims),
                     tail_note="%d at n = 0,1 (mod %d) for n >= 2, else 0"
                               % (int_count, modulus))

@@ -97,45 +97,46 @@ def _orbits(presentation: GentlePresentation, rhos) -> list[list[Path]]:
 
 def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
     """Populate every degree-n pair family: the pairs are the
-    presentation's degree-n parallel pairs, each subfamily is a predicate
-    filter."""
+    presentation's degree-n parallel pairs, sorted into their subfamilies
+    in one pass, so each subfamily keeps the order of the pairs."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    relations = presentation.relations
     ap = ap_paths(presentation, n)
     pairs = presentation.parallel_pairs(n)
-
-    set_a = ()
+    annihilated = presentation.annihilated
+    set_a, zero_zero, complete, incomplete, complete0, empty_incomplete = (
+        [], [], [], [], [], [])
     if n == 0:
-        set_a = tuple(
-            (rho, gamma) for rho, gamma in pairs
-            if gamma.arrows and presentation.annihilated(gamma))
-
-    zero_zero = ()
-    if n >= 1:
-        zero_zero = tuple(
-            (rho, gamma) for rho, gamma in pairs
-            if (not gamma.arrows or gamma.arrows[0] != rho.arrows[0])
-            and (not gamma.arrows or gamma.arrows[-1] != rho.arrows[-1])
-            and presentation.annihilated(gamma))
-
-    complete, incomplete, complete0, gentle_complete, empty_incomplete = (), (), (), (), ()
-    gentle_orbits = 0
-    if n >= 1:
-        cyclic = [(rho, gamma) for rho, gamma in pairs if not gamma.arrows]
-        complete = tuple(
-            (rho, gamma) for rho, gamma in cyclic
-            if (rho.arrows[-1], rho.arrows[0]) in relations)
-        incomplete = tuple(
-            (rho, gamma) for rho, gamma in cyclic
-            if (rho.arrows[-1], rho.arrows[0]) not in relations)
-        assert len(complete) + len(incomplete) == len(cyclic)
-        # complete0: no relation meets rho's ends but the one closing it
+        set_a = [pair for pair in pairs if pair[1].arrows and annihilated(pair[1])]
+    else:
+        relations = presentation.relations
         neighbours = presentation.neighbours
-        complete0 = tuple(
-            (rho, gamma) for rho, gamma in complete
-            if set(neighbours[rho.arrows[0]].rel_before) <= {rho.arrows[-1]}
-            and set(neighbours[rho.arrows[-1]].rel_after) <= {rho.arrows[0]})
+        midpoints = presentation.relation_midpoints
+        for pair in pairs:
+            rho, gamma = pair
+            first, last = rho.arrows[0], rho.arrows[-1]
+            if gamma.arrows:
+                if (gamma.arrows[0] != first and gamma.arrows[-1] != last
+                        and annihilated(gamma)):
+                    zero_zero.append(pair)
+                continue
+            # a cyclic pair: rho is a cycle and gamma the trivial path at its
+            # vertex, which rho's arrows touch, so gamma is not annihilated
+            # and the pair is not zero_zero
+            if (last, first) in relations:
+                complete.append(pair)
+                # complete0: no relation meets rho's ends but the one closing it
+                if (set(neighbours[first].rel_before) <= {last}
+                        and set(neighbours[last].rel_after) <= {first}):
+                    complete0.append(pair)
+            else:
+                incomplete.append(pair)
+                if rho.source not in midpoints:
+                    empty_incomplete.append(pair)
+
+    gentle_complete = ()
+    gentle_orbits = 0
+    if complete:
         complete_set = {rho for rho, _ in complete}
         complete0_set = {rho for rho, _ in complete0}
         gentle = set()
@@ -144,21 +145,15 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
             if complete0_set.issuperset(orbit):
                 gentle.update(orbit)
                 gentle_orbits += 1
-        gentle_complete = tuple((rho, gamma) for rho, gamma in complete
-                                if rho in gentle)
-
-        empty_incomplete = tuple(
-            (rho, gamma) for rho, gamma in incomplete
-            if rho.source not in presentation.relation_midpoints)
+        gentle_complete = tuple(pair for pair in complete if pair[0] in gentle)
 
     return ParallelPairFamily(
-        ap=tuple(ap), pairs=pairs, set_a=set_a,
-        zero_zero=zero_zero, complete=complete, incomplete=incomplete,
-        complete0=complete0, gentle_complete=gentle_complete,
-        empty_incomplete=empty_incomplete,
-        loop_pairs=tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
-                         for a in presentation.loops),
-        gentle_orbits=gentle_orbits)
+        ap=tuple(ap), pairs=pairs, set_a=tuple(set_a),
+        zero_zero=tuple(zero_zero), complete=tuple(complete),
+        incomplete=tuple(incomplete), complete0=tuple(complete0),
+        gentle_complete=gentle_complete,
+        empty_incomplete=tuple(empty_incomplete),
+        loop_pairs=presentation.loop_pairs, gentle_orbits=gentle_orbits)
 
 
 def pair_order(presentation: GentlePresentation, pair) -> int:
@@ -183,7 +178,8 @@ def coinvariant_dim(presentation: GentlePresentation, n: int,
 
 
 def parity_weights(characteristic: int, n: int) -> tuple[int, int]:
-    """Weights of the degree-n and degree-(n-1) rotation terms of HH^n."""
+    """Weights of the degree-n and degree-(n-1) rotation terms of HH^n;
+    they depend on n only through its parity."""
     if characteristic == 2:
         return 1, 1
     return (1, 0) if n % 2 == 0 else (0, 1)
@@ -277,8 +273,9 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     if characteristic == 2:
         hh1 += counts.loop_pairs
     dims.append(hh1)
+    weights = parity_weights(characteristic, 0), parity_weights(characteristic, 1)
     for n in range(2, nmax + 1):
-        a, b = parity_weights(characteristic, n)
+        a, b = weights[n % 2]
         zero_zero, empty_incomplete, orbits = degrees[n]
         dims.append(zero_zero + empty_incomplete + a * orbits + b * degrees[n - 1][2])
     tail_note = ("degrees 0..%d enumerated, then period 3" % RR_BUILT_TOP

@@ -97,6 +97,7 @@ class GentlePresentation:
     construction, lists per arrow id the arrows before and after it, split
     by whether they compose with it into a relation; gentleness, the basis,
     the zero paths, the 3-cycle turns and :meth:`annihilated` all read it.
+    ``loop_pairs`` pairs each loop with the trivial path at its vertex.
     Cached on first use: the zero-path levels (AP_n extended from
     AP_{n-1}), ``basis``, ``parallel`` (the basis paths by (source,
     target), in basis order), the parallel-pair levels and ``periodic``
@@ -111,6 +112,9 @@ class GentlePresentation:
         self.quiver = quiver
         self.potential_cycles = tuple(potential_cycles)
         self.relations = relations = frozenset(relations)
+        # the neighbour lists, and so the path levels, rely on ascending ids
+        if any(a.idx != i for i, a in enumerate(quiver.arrows)):
+            raise ValueError("arrow ids must be the positions 0, 1, ... of the arrows")
         for first, second in relations:
             a, b = quiver.arrows[first], quiver.arrows[second]
             if a.target != b.source:
@@ -120,6 +124,8 @@ class GentlePresentation:
         self.complexes = {}
         self.rr_counts = {}
         self.loops = tuple(a for a in quiver.arrows if a.source == a.target)
+        self.loop_pairs = tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
+                                for a in self.loops)
         self.relation_midpoints = frozenset(
             quiver.arrows[first].target for first, _ in relations)
         self._isolated = frozenset(
@@ -135,6 +141,8 @@ class GentlePresentation:
                 tuple(b for b in after if (a.idx, b) in relations),
                 tuple(b for b in after if (a.idx, b) not in relations)))
         self.neighbours = tuple(table)
+        self._rel_after = [nb.rel_after for nb in table]
+        self._targets = [a.target for a in quiver.arrows]
 
         # a -> (a, b, c) when b is the only relation successor of a, c the
         # only one of b and a the only one of c: one turn of a relation 3-cycle
@@ -159,21 +167,20 @@ class GentlePresentation:
                 and not self.neighbours[gamma.arrows[-1]].free_after)
 
     def path_target(self, path: Path) -> int:
-        if not path.arrows:
-            return path.source
-        return self.quiver.arrows[path.arrows[-1]].target
+        return self._targets[path.arrows[-1]] if path.arrows else path.source
 
     @cached_property
     def basis(self) -> tuple[Path, ...]:
-        return tuple(enumerate_basis(self))
+        self._parallel = {}
+        return tuple(enumerate_basis(self, self._parallel))
 
-    @cached_property
+    @property
     def parallel(self) -> dict:
-        """(source, target) -> tuple of the basis paths with those ends."""
-        index = {}
-        for gamma in self.basis:
-            index.setdefault((gamma.source, self.path_target(gamma)), []).append(gamma)
-        return {ends: tuple(paths) for ends, paths in index.items()}
+        """(source, target) -> list of the basis paths with those ends, in
+        basis order, filed by :func:`enumerate_basis` as it walks; shared,
+        so not to be changed."""
+        self.basis  # fills self._parallel on first use
+        return self._parallel
 
     def zero_paths(self, n: int) -> tuple[Path, ...]:
         """AP_n in path order: trivial paths, arrows, then chains of n arrows
@@ -185,7 +192,7 @@ class GentlePresentation:
             levels.append(tuple(Path(v, ()) for v in range(len(self.quiver.vertices))))
             levels.append(tuple(sorted(Path(a.source, (a.idx,)) for a in self.quiver.arrows)))
         while len(levels) <= n:
-            levels.append(_extend(levels[-1], [nb.rel_after for nb in self.neighbours]))
+            levels.append(_extend(levels[-1], self._rel_after))
         return levels[n]
 
     def parallel_pairs(self, n: int) -> tuple[tuple[Path, Path], ...]:
@@ -194,11 +201,17 @@ class GentlePresentation:
         the rr families and the cochain basis.  May raise
         :class:`InfiniteDimensionalError` from the basis."""
         levels = self._parallel_pairs
-        while len(levels) <= n:
-            parallel = self.parallel
-            levels.append(tuple(
-                (rho, gamma) for rho in self.zero_paths(len(levels))
-                for gamma in parallel.get((rho.source, self.path_target(rho)), ())))
+        if len(levels) <= n:
+            parallel, targets = self.parallel, self._targets
+            self.zero_paths(n)
+            while len(levels) <= n:
+                degree, pairs = len(levels), []
+                for rho in self._zero_paths[degree]:
+                    end = targets[rho.arrows[-1]] if degree else rho.source
+                    gammas = parallel.get((rho.source, end))
+                    if gammas:
+                        pairs += [(rho, gamma) for gamma in gammas]
+                levels.append(tuple(pairs))
         return levels[n]
 
     def shift(self, rho: Path) -> Path:
@@ -337,13 +350,14 @@ def check_gentle(presentation: GentlePresentation) -> list[Violation]:
 
 def _extend(level, successors) -> tuple[Path, ...]:
     """Every path of ``level`` followed by each successor of its last arrow
-    (``successors`` is indexed by arrow id), in path order: the paths of
-    one level have one length, so plain tuple order is path order."""
-    return tuple(sorted(Path(p.source, p.arrows + (b,))
-                        for p in level for b in successors[p.arrows[-1]]))
+    (``successors`` is indexed by arrow id, each list ascending, as the
+    neighbour lists are), in path order when ``level`` is: paths of one
+    length compare as their parents, then as their last arrows."""
+    return tuple([Path(p.source, p.arrows + (b,))
+                  for p in level for b in successors[p.arrows[-1]]])
 
 
-def enumerate_basis(presentation: GentlePresentation) -> list[Path]:
+def enumerate_basis(presentation: GentlePresentation, index=None) -> list[Path]:
     """All paths containing no relation, in (length, source, arrows) order.
 
     The trivial paths and the arrows (AP_0 and AP_1) are the first two
@@ -354,7 +368,9 @@ def enumerate_basis(presentation: GentlePresentation) -> list[Path]:
     arrow, because the stretch between the two copies is a relation-free
     cycle, which gives basis paths of every length.  Conversely a
     relation-free cycle makes some basis path of at most |Q1| + 1 arrows
-    repeat its last arrow, so without one the levels run out.
+    repeat its last arrow, so without one the levels run out.  A dict
+    ``index`` gets each basis path appended under its (source, target) as
+    the walk meets it, so each list is in basis order.
 
     Under G4 a level holds at most |Q1| paths, so the basis costs
     O(|Q1|^3); without G4 a level can grow as the out-degree to the power
@@ -363,15 +379,20 @@ def enumerate_basis(presentation: GentlePresentation) -> list[Path]:
     surfaces, which are always finite.
     """
     free_after = [nb.free_after for nb in presentation.neighbours]
+    targets = presentation._targets
+    index = {} if index is None else index
     basis = list(presentation.zero_paths(0))
+    for e in basis:
+        index.setdefault((e.source, e.source), []).append(e)
     level = presentation.zero_paths(1)
     while level:
-        basis.extend(level)
-        level = _extend(level, free_after)
         for path in level:
             last = path.arrows[-1]
             if path.arrows.index(last) != len(path.arrows) - 1:
                 raise InfiniteDimensionalError(
                     "relation-free cycle through arrow %s"
                     % presentation.quiver.arrow_name(last))
+            index.setdefault((path.source, targets[last]), []).append(path)
+        basis.extend(level)
+        level = _extend(level, free_after)
     return basis

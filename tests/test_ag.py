@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentlehh import (AGInvariant, ag_invariant, build_quiver, compare_ag,
                       fixture_by_name, hh_dims_geometric, hh_dims_ladkani, psi)
+from gentlehh.pairs import parity_weights
 
 
 def surface_for(name):
@@ -131,3 +134,22 @@ def test_multiplicity_and_psi_match_the_support_scan():
                 assert inv.multiplicity(n, m) == scanned(n, m)
         for n in range(1, 25):
             assert psi(inv, n) == sum(scanned(0, d) for d in range(1, n + 1) if n % d == 0)
+
+
+# Support pairs (n, m) with small n, so (0, d) and (1, m) both occur, and
+# pairs past nmax and (0, 0) too.
+invariants = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 70)),
+                             st.integers(0, 4), max_size=8).map(AGInvariant.from_counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(invariants, st.integers(1, 40), st.integers(0, 60),
+       st.sampled_from((0, 2, 3, 5)), st.integers(1, 60))
+def test_ladkani_tail_equals_the_per_degree_definition(inv, q0, q1, char, nmax):
+    expected = [1 + inv.multiplicity(1, 0),
+                1 + q1 - q0 + inv.multiplicity(1, 1)
+                + (inv.multiplicity(0, 1) if char == 2 else 0)]
+    for n in range(2, nmax + 1):
+        a, b = parity_weights(char, n)
+        expected.append(inv.multiplicity(1, n) + a * psi(inv, n) + b * psi(inv, n - 1))
+    assert hh_dims_ladkani(inv, q0, q1, char, nmax).dims == tuple(expected)

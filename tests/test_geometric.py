@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gentlehh import (build_quiver, build_surface, fixture_by_name,
-                      generate_polygon_triangulations, hh1_remark,
-                      hh_dims_geometric)
+from gentlehh import (build_quiver, build_surface, builtin_fixtures,
+                      fixture_by_name, generate_polygon_triangulations,
+                      hh1_remark, hh_dims_geometric, internal_triangles)
 
 
 def surface_for(name):
@@ -70,3 +72,19 @@ def test_nmax_validation():
         hh_dims_geometric(surface_for("fig8"), 0, 0)
     with pytest.raises(ValueError):
         hh_dims_geometric(surface_for("fig8"), 6, 13)
+
+
+# the fixtures and the 8-gons: 0 to 4 internal triangles
+SURFACES = ([f.surface for f in builtin_fixtures()]
+            + [build_surface(t) for t in generate_polygon_triangulations(8)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SURFACES), st.sampled_from((0, 2, 3, 5)), st.integers(1, 60))
+def test_geometric_tail_equals_the_per_degree_rule(surface, char, nmax):
+    int_count = len(internal_triangles(surface))
+    modulus = 3 if char == 2 else 6
+    dims = hh_dims_geometric(surface, char, nmax).table.dims
+    assert len(dims) == nmax + 1
+    assert dims[2:] == tuple(int_count if n % modulus in (0, 1) else 0
+                             for n in range(2, nmax + 1))

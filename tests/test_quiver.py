@@ -292,3 +292,12 @@ def test_incomposable_relation_rejected():
                     arrows=(Arrow(0, 0, 1), Arrow(1, 0, 2)))
     with pytest.raises(ValueError):
         GentlePresentation(quiver, relations={(0, 1)})
+
+
+def test_arrow_ids_out_of_position_rejected():
+    # the neighbour lists, and so the unsorted path levels, are in id order
+    # only when each arrow's id is its position
+    quiver = Quiver(vertices=("u", "v", "w"),
+                    arrows=(Arrow(1, 0, 1), Arrow(0, 1, 2)))
+    with pytest.raises(ValueError, match="arrow ids"):
+        GentlePresentation(quiver)
