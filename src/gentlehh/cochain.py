@@ -143,20 +143,23 @@ def verify_period(presentation: GentlePresentation, complex_: CochainComplex):
     bases[n] with every zero path shifted by one turn, position for
     position and with the same basis path; D_{n+3} = D_n mod 2 for
     n >= PERIOD_START; and the last built differential equals the one a
-    period below, row for row."""
+    period below, row for row.  Each turn is read once, off the shift of
+    a degree-2 zero path, and each built D_n is reduced mod 2 once."""
     bases, differentials = complex_.bases, complex_.differentials
+    turns = {rho.arrows[0]: presentation.shift(rho).arrows[:-2]
+             for rho in presentation.zero_paths(2)}
     for n in range(2, len(bases) - 3):
-        shifted = [(presentation.shift(rho), gamma) for rho, gamma in bases[n]]
-        if bases[n + 3] != shifted:
+        # a plain (source, arrows) tuple compares as the Path
+        if bases[n + 3] != [((rho.source, turns[rho.arrows[0]] + rho.arrows), gamma)
+                            for rho, gamma in bases[n]]:
             raise AssertionError(
                 "bases[%d] is not bases[%d] shifted by one turn" % (n + 3, n))
 
-    def mod2(rows):
-        return [tuple(col for col, value in row if value % 2) for row in rows]
-
     last = len(differentials) - 1
+    mod2 = {n: [[col for col, value in row if value & 1] for row in differentials[n]]
+            for n in range(PERIOD_START, last + 1)}
     for n in range(PERIOD_START, last - 2):
-        if mod2(differentials[n + 3]) != mod2(differentials[n]):
+        if mod2[n + 3] != mod2[n]:
             raise AssertionError("D_%d != D_%d mod 2" % (n + 3, n))
     if differentials[last] != differentials[last - complex_.period]:
         raise AssertionError("D_%d != D_%d" % (last, last - complex_.period))

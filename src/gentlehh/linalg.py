@@ -4,23 +4,18 @@ A matrix is a sequence of rows, each a sequence of (column, value) pairs
 with distinct columns and integer values; absent entries are zero.
 Elimination never leaves the integers: a row is reduced by a
 cross-multiplied pivot row, then taken mod p in characteristic p, or
-divided by the gcd of its entries in characteristic 0.  Rows are taken in order and each pivots on its least
+divided by the gcd of its entries in characteristic 0.  In characteristic
+2 a row is packed into one integer, bit ``col`` set for each odd entry,
+and reduced by XOR.  Rows are taken in order and each pivots on its least
 column, so repeated runs eliminate identically.
 """
 
 from functools import cache
-from math import gcd
+from math import gcd, isqrt
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @cache
@@ -48,6 +43,8 @@ def _normalise(row: dict, char: int) -> dict:
 def rank(rows, char: int) -> int:
     """Rank of a sparse integer matrix over Q (char 0) or GF(char)."""
     check_characteristic(char)
+    if char == 2:
+        return _rank_mod2(rows)
     pivots = {}  # least column -> reduced row holding it
     for entries in rows:
         row = _normalise(dict(entries), char)
@@ -62,6 +59,22 @@ def rank(rows, char: int) -> int:
             for c, value in pivot.items():
                 combined[c] = combined.get(c, 0) - factor * value
             row = _normalise(combined, char)
+    return len(pivots)
+
+
+def _rank_mod2(rows) -> int:
+    pivots = {}  # lowest set bit -> packed reduced row holding it
+    for entries in rows:
+        row = 0
+        for col, value in entries:
+            if value & 1:
+                row |= 1 << col
+        while row:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
     return len(pivots)
 
 

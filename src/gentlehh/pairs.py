@@ -194,11 +194,12 @@ def _unreachable_vertex(quiver) -> int | None:
     reached, frontier = {0}, [0]
     while frontier:
         v = frontier.pop()
-        for a in quiver.outgoing(v) + quiver.incoming(v):
-            for w in (a.source, a.target):
-                if w not in reached:
-                    reached.add(w)
-                    frontier.append(w)
+        for arrows in (quiver._outgoing.get(v, ()), quiver._incoming.get(v, ())):
+            for a in arrows:
+                for w in (a.source, a.target):
+                    if w not in reached:
+                        reached.add(w)
+                        frontier.append(w)
     return next((v for v in range(len(quiver.vertices)) if v not in reached), None)
 
 

@@ -128,34 +128,27 @@ class GentlePresentation:
                                 for a in self.loops)
         self.relation_midpoints = frozenset(
             quiver.arrows[first].target for first, _ in relations)
-        self._isolated = frozenset(
-            v for v in range(len(quiver.vertices))
-            if not quiver.incoming(v) and not quiver.outgoing(v))
+        outgoing, incoming = quiver._outgoing, quiver._incoming
+        self._isolated = frozenset(range(len(quiver.vertices))).difference(
+            outgoing, incoming)
         table = []
         for a in quiver.arrows:
-            before = [b.idx for b in quiver.incoming(a.source)]
-            after = [b.idx for b in quiver.outgoing(a.target)]
-            table.append(Neighbours(
-                tuple(b for b in before if (b, a.idx) in relations),
-                tuple(b for b in before if (b, a.idx) not in relations),
-                tuple(b for b in after if (a.idx, b) in relations),
-                tuple(b for b in after if (a.idx, b) not in relations)))
+            rel_before, free_before, rel_after, free_after = [], [], [], []
+            for b in incoming.get(a.source, ()):
+                (rel_before if (b.idx, a.idx) in relations else free_before).append(b.idx)
+            for b in outgoing.get(a.target, ()):
+                (rel_after if (a.idx, b.idx) in relations else free_after).append(b.idx)
+            table.append(Neighbours(tuple(rel_before), tuple(free_before),
+                                    tuple(rel_after), tuple(free_after)))
         self.neighbours = tuple(table)
         self._rel_after = [nb.rel_after for nb in table]
         self._targets = [a.target for a in quiver.arrows]
 
         # a -> (a, b, c) when b is the only relation successor of a, c the
         # only one of b and a the only one of c: one turn of a relation 3-cycle
-        def single(a):
-            after = () if a is None else table[a].rel_after
-            return after[0] if len(after) == 1 else None
-
-        self._turns = {}
-        for a in range(len(table)):
-            b = single(a)
-            c = single(b)
-            if single(c) == a:
-                self._turns[a] = (a, b, c)
+        only = [after[0] if len(after) == 1 else None for after in self._rel_after]
+        self._turns = {a: (a, b, only[b]) for a, b in enumerate(only)
+                       if b is not None and only[b] is not None and only[only[b]] == a}
 
     def annihilated(self, gamma: Path) -> bool:
         """Whether every arrow composable with gamma, on either side, meets
@@ -281,33 +274,25 @@ def _build_presentation(surface: TriangulatedSurface) -> GentlePresentation:
     cycles = []
     internal = internal_triangles(surface)
     for t_idx, tri in enumerate(surface.triangles):
-        created = {}
-        for pos in range(3):
-            here, after = tri.sides[pos], tri.sides[(pos + 1) % 3]
+        s0, s1, s2 = tri.sides
+        first = len(arrows)
+        for here, after in ((s0, s1), (s1, s2), (s2, s0)):
             if here.kind == ARC and after.kind == ARC:
-                arrow = Arrow(len(arrows), index[here.label], index[after.label])
-                arrows.append(arrow)
-                created[pos] = arrow.idx
+                arrows.append(Arrow(len(arrows), index[here.label], index[after.label]))
         if t_idx in internal:
-            # ccw 3-cycle: side0->side1, side1->side2, side2->side0
-            cycles.append((created[0], created[1], created[2]))
+            # ccw 3-cycle, created in a row: side0->side1, side1->side2, side2->side0
+            cycles.append((first, first + 1, first + 2))
 
     quiver = Quiver(vertices=tuple(vertices), arrows=tuple(arrows))
-    relations = set()
-    for c0, c1, c2 in cycles:
-        relations.update([(c0, c1), (c1, c2), (c2, c0)])
+    relations = {pair for c0, c1, c2 in cycles for pair in ((c0, c1), (c1, c2), (c2, c0))}
 
     presentation = GentlePresentation(quiver, cycles, relations)
 
-    problems = []
-    for arrow in arrows:
-        if arrow.source == arrow.target:
-            problems.append("loop at %s" % quiver.vertices[arrow.source])
+    problems = ["loop at %s" % quiver.vertices[a.source]
+                for a in arrows if a.source == a.target]
     seen = {(a.source, a.target) for a in arrows}
-    for s, t in seen:
-        if s != t and (t, s) in seen:
-            problems.append("2-cycle between %s and %s"
-                            % (quiver.vertices[s], quiver.vertices[t]))
+    problems += ["2-cycle between %s and %s" % (quiver.vertices[s], quiver.vertices[t])
+                 for s, t in seen if s != t and (t, s) in seen]
     violations = check_gentle(presentation)
     if problems or violations:
         raise GentlenessViolation(
@@ -328,8 +313,8 @@ def check_gentle(presentation: GentlePresentation) -> list[Violation]:
     quiver = presentation.quiver
     violations = []
     for v in range(len(quiver.vertices)):
-        for direction, arrows in (("outgoing", quiver.outgoing(v)),
-                                  ("incoming", quiver.incoming(v))):
+        for direction, arrows in (("outgoing", quiver._outgoing.get(v, ())),
+                                  ("incoming", quiver._incoming.get(v, ()))):
             if len(arrows) > 2:
                 violations.append(Violation(
                     "G1", "vertex %s has %d %s arrows: %s"

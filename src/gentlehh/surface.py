@@ -6,6 +6,11 @@ either an ``arc`` (an interior edge, glued to its other occurrence) or a
 ``boundary`` segment (occurring exactly once).  All geometry the downstream
 formulas consume -- genus, boundary components, internal triangles, boundary
 profiles -- is derived from this gluing data alone.
+
+:func:`build_surface` reads the triangles once into a flat side list, side
+``pos`` of triangle ``t`` at id ``3*t + pos``, with ``other[id]`` the id of
+the arc's other occurrence (-1 for a boundary side); the fan walk, the
+connectivity search and the boundary chaining all step through these ids.
 """
 
 from typing import NamedTuple
@@ -117,9 +122,9 @@ class TriangulatedSurface(NamedTuple):
     profiles: tuple[BoundaryProfile, ...]
 
 
-def _label_key(label: str):
-    # "t2" sorts before "t10"
-    return (len(label), label)
+def _label_sorted(labels) -> list:
+    """Labels by length, then alphabetically: "t2" sorts before "t10"."""
+    return sorted(sorted(labels), key=len)
 
 
 def build_surface(data: TriangulationInput) -> TriangulatedSurface:
@@ -132,57 +137,55 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
     if not triangles:
         raise SurfaceError("%s: no triangles" % data.name)
 
-    # Collect occurrences per (kind, label) and the arc sides per triangle.
-    occurrences: dict = {}
+    sides = []
     arc_sides = []
+    arc_ids, bnd_ids = {}, {}  # the ids of each label's occurrences, per kind
     for t_idx, tri in enumerate(triangles):
         if len(tri.sides) != 3:
             raise SurfaceError("triangle %d does not have three sides" % t_idx)
-        for pos, side in enumerate(tri.sides):
+        for side in tri.sides:
             if side.kind not in (ARC, BOUNDARY):
                 raise SurfaceError(
                     "triangle %d: unknown side kind %r" % (t_idx, side.kind))
             if not side.label or not side.src or not side.dst:
                 raise SurfaceError(
                     "triangle %d: empty label or vertex name" % t_idx)
-            occurrences.setdefault((side.kind, side.label), []).append((t_idx, pos))
-        for i in range(3):
-            here, after = tri.sides[i], tri.sides[(i + 1) % 3]
+            (arc_ids if side.kind == ARC else bnd_ids).setdefault(
+                side.label, []).append(len(sides))
+            sides.append(side)
+        s0, s1, s2 = tri.sides
+        for here, after in ((s0, s1), (s1, s2), (s2, s0)):
             if here.dst != after.src:
                 raise CornerInconsistency(
                     "triangle %d: side %r ends at %r but side %r starts at %r"
                     % (t_idx, here.label, here.dst, after.label, after.src))
-        arc_sides.append(sum(side.kind == ARC for side in tri.sides))
+        arc_sides.append((s0.kind == ARC) + (s1.kind == ARC) + (s2.kind == ARC))
 
-    arc_labels = sorted({lbl for (k, lbl) in occurrences if k == ARC}, key=_label_key)
-    bnd_labels = sorted({lbl for (k, lbl) in occurrences if k == BOUNDARY}, key=_label_key)
-    overlap = set(arc_labels) & set(bnd_labels)
+    arc_labels = _label_sorted(arc_ids)
+    bnd_labels = _label_sorted(bnd_ids)
+    overlap = arc_ids.keys() & bnd_ids.keys()
     if overlap:
         raise NonManifoldGluing(
             "labels used both as arc and as boundary: %s" % sorted(overlap))
 
-    def side_at(occ):
-        t_idx, pos = occ
-        return triangles[t_idx].sides[pos]
-
-    arc_occurrences = {}
+    other = [-1] * len(sides)
     for lbl in arc_labels:
-        occs = occurrences[(ARC, lbl)]
-        if len(occs) != 2:
+        ids = arc_ids[lbl]
+        if len(ids) != 2:
             raise NonManifoldGluing(
-                "arc %r occurs %d time(s), expected exactly 2" % (lbl, len(occs)))
-        a, b = side_at(occs[0]), side_at(occs[1])
+                "arc %r occurs %d time(s), expected exactly 2" % (lbl, len(ids)))
+        i, j = ids
+        a, b = sides[i], sides[j]
         if not (a.src == b.dst and a.dst == b.src):
             raise OrientationMismatch(
                 "arc %r glued without reversing direction: %s->%s and %s->%s"
                 % (lbl, a.src, a.dst, b.src, b.dst))
-        arc_occurrences[lbl] = (occs[0], occs[1])
+        other[i], other[j] = j, i
     for lbl in bnd_labels:
-        occs = occurrences[(BOUNDARY, lbl)]
-        if len(occs) != 1:
+        if len(bnd_ids[lbl]) != 1:
             raise NonManifoldGluing(
                 "boundary segment %r occurs %d time(s), expected exactly 1"
-                % (lbl, len(occs)))
+                % (lbl, len(bnd_ids[lbl])))
 
     if not arc_labels:
         raise UnsupportedSurface(
@@ -192,11 +195,13 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
         raise UnsupportedSurface(
             "triangle %d has three boundary sides" % arc_sides.index(0))
 
-    fans = _vertex_fans(triangles, arc_occurrences)
-    _check_connected(triangles, arc_occurrences)
+    # boundary labels occur once each, so these are in id order
+    boundary = [ids[0] for ids in bnd_ids.values()]
+    fans, leaving = _vertex_fans(sides, other, boundary)
+    _check_connected(other)
 
-    components = _boundary_components(triangles, fans)
-    marked_points = sorted(fans, key=_label_key)
+    components = _boundary_components(sides, boundary, leaving)
+    marked_points = _label_sorted(fans)
 
     V = len(marked_points)
     E = len(arc_labels) + len(bnd_labels)
@@ -229,100 +234,92 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
     )
 
 
-def _vertex_fans(triangles, arc_occurrences) -> dict:
+def _vertex_fans(sides, other, boundary):
     """Walk the corner fan around every vertex; return, per marked point,
-    the boundary segment leaving it and whether an arc ends there.
+    the boundary segment leaving it and whether an arc ends there, and
+    separately the id of that segment.  ``boundary`` lists the boundary ids.
 
-    A corner is identified by its incoming side slot (triangle, position):
-    the corner of that triangle sitting at ``sides[pos].dst``, between
-    ``sides[pos]`` (in) and ``sides[pos+1]`` (out).  Crossing an arc moves to
-    the corner whose incoming slot is the arc's other occurrence.  At each
-    vertex the corners must form one open chain bounded by boundary segments
-    on both ends: a closed cycle is an interior vertex (a puncture), several
-    chains are a pinched vertex or a reused point name.  The chain's last
-    out side is the one boundary segment leaving the point, and an arc ends
-    there exactly when the chain has more than one corner: a single corner
-    has boundary on both sides, and a longer chain leaves its first corner
-    through an arc.
+    Side id ``c`` also names the corner at the head of ``sides[c]``, between
+    that side (in) and the next side of its triangle (out, id ``c + 1``, or
+    ``c - 2`` when ``c % 3 == 2``).  Crossing an arc moves to the corner
+    ``other[out]``, whose in side is the arc's other occurrence.  At each
+    vertex the corners must form one open chain bounded by boundary
+    segments on both ends: a closed cycle is an interior vertex (a
+    puncture), several chains are a pinched vertex or a reused point name.
+    The chain's last out side is the one boundary segment leaving the
+    point, and an arc ends there exactly when the chain has more than one
+    corner: a single corner has boundary on both sides, and a longer chain
+    leaves its first corner through an arc.
     """
-    corners_at = {}
-    for t_idx, tri in enumerate(triangles):
-        for pos in range(3):
-            corners_at.setdefault(tri.sides[pos].dst, []).append((t_idx, pos))
+    corners, start, wedges = {}, {}, {}
+    for side in sides:
+        corners[side.dst] = corners.get(side.dst, 0) + 1
+    for c in boundary:
+        vertex = sides[c].dst
+        wedges[vertex] = wedges.get(vertex, 0) + 1
+        start.setdefault(vertex, c)
 
-    def partner(occ, label):
-        first, second = arc_occurrences[label]
-        return second if occ == first else first
-
-    fans = {}
-    for vertex, corners in corners_at.items():
-        starts = [(t_idx, pos) for t_idx, pos in corners
-                  if triangles[t_idx].sides[pos].kind == BOUNDARY]
-        if not starts:
+    seen = bytearray(len(sides))
+    fans, leaving = {}, {}
+    for vertex, count in corners.items():
+        if vertex not in start:
             raise UnsupportedSurface(
                 "marked point %r is interior (a puncture)" % vertex)
-        if len(starts) > 1:
+        if wedges[vertex] > 1:
             raise NonManifoldGluing(
-                "marked point %r has %d boundary wedges" % (vertex, len(starts)))
-        seen = set()
-        t_idx, pos = starts[0]
-        while True:
-            if (t_idx, pos) in seen:
+                "marked point %r has %d boundary wedges" % (vertex, wedges[vertex]))
+        c, walked = start[vertex], 0
+        while c >= 0:  # until the out side is a boundary segment
+            if seen[c]:
                 raise NonManifoldGluing(
                     "corner walk at %r revisits a corner" % vertex)
-            seen.add((t_idx, pos))
-            out_pos = (pos + 1) % 3
-            out_side = triangles[t_idx].sides[out_pos]
-            if out_side.kind == BOUNDARY:
-                break
-            t_idx, pos = partner((t_idx, out_pos), out_side.label)
-        if len(seen) != len(corners):
+            seen[c] = 1
+            walked += 1
+            out = c - 2 if c % 3 == 2 else c + 1
+            c = other[out]
+        if walked != count:
             raise NonManifoldGluing(
                 "marked point %r: %d corner(s) unreachable from its boundary "
-                "wedge (puncture or pinch)" % (vertex, len(corners) - len(seen)))
-        fans[vertex] = (out_side, len(seen) > 1)
-    return fans
+                "wedge (puncture or pinch)" % (vertex, count - walked))
+        fans[vertex] = (sides[out], walked > 1)
+        leaving[vertex] = out
+    return fans, leaving
 
 
-def _check_connected(triangles, arc_occurrences):
-    reached = {0}
-    stack = [0]
+def _check_connected(other):
+    reached, stack = {0}, [0]
     while stack:
         t_idx = stack.pop()
-        for side in triangles[t_idx].sides:
-            if side.kind != ARC:
-                continue
-            for other_t, _ in arc_occurrences[side.label]:
-                if other_t not in reached:
-                    reached.add(other_t)
-                    stack.append(other_t)
-    if len(reached) != len(triangles):
+        for c in other[3 * t_idx:3 * t_idx + 3]:
+            if c >= 0 and c // 3 not in reached:
+                reached.add(c // 3)
+                stack.append(c // 3)
+    if len(reached) != len(other) // 3:
         raise DisconnectedSurface(
             "only %d of %d triangles are connected to triangle 0"
-            % (len(reached), len(triangles)))
+            % (len(reached), len(other) // 3))
 
 
-def _boundary_components(triangles, fans) -> tuple[BoundaryComponent, ...]:
+def _boundary_components(sides, boundary, leaving) -> tuple[BoundaryComponent, ...]:
     """Chain boundary segments dst -> src into cyclic components, starting
-    each at its first segment in triangle order.
+    each at its first segment in id order.
 
     The ccw triangle convention orients each boundary segment with the
     surface on its left, so the successor of a segment is the boundary
-    segment leaving the point where it ends: that point's fan's last side.
+    segment leaving the point where it ends: ``leaving`` holds its id.
     """
     components = []
-    visited = set()
-    for tri in triangles:
-        for start in tri.sides:
-            if start.kind != BOUNDARY or start.label in visited:
-                continue
-            points, segments, side = [], [], start
-            while side.label not in visited:
-                visited.add(side.label)
-                points.append(side.src)
-                segments.append(side.label)
-                side = fans[side.dst][0]
-            components.append(BoundaryComponent(tuple(points), tuple(segments)))
+    done = bytearray(len(sides))
+    for first in boundary:
+        if done[first]:
+            continue
+        chain, c = [], first
+        while not done[c]:
+            done[c] = 1
+            chain.append(sides[c])
+            c = leaving[sides[c].dst]
+        components.append(BoundaryComponent(tuple(s.src for s in chain),
+                                            tuple(s.label for s in chain)))
     return tuple(components)
 
 

@@ -254,3 +254,22 @@ def test_four_way_agreement_at_odd_primes(char):
         tables = compute_tables(surface, char, 13)
         assert len(tables) == 4
         assert len({table.dims for table in tables.values()}) == 1, surface.name
+
+
+def test_gf2_rank_of_rows_spanning_several_words():
+    # columns j -> 97 j + 3 run past bit 64 and past bit 1024, so one packed
+    # row spans several machine words; under j -> 1024 j + 5 every column is
+    # 5 mod 64 and mod 1024, so a packing that wrapped at a word would merge
+    # them.  Entries include negative and even ones.
+    rng = random.Random(12)
+    entries = set()
+    for spread in (lambda j: 97 * j + 3, lambda j: 1024 * j + 5):
+        for _ in range(30):
+            inner, height = rng.randint(1, 3), rng.randint(1, 4)
+            a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(height)]
+            b = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(inner)]
+            dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+            rows = [tuple((spread(j), x) for j, x in enumerate(row) if x) for row in dense]
+            entries.update(x for row in dense for x in row)
+            assert rank(rows, 2) == reference_rank(dense, 2)
+    assert any(x < 0 and x % 2 for x in entries) and any(x and x % 2 == 0 for x in entries)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from test_pairs import BRUTE_FORCE_GROUPS, brute_force_instances
+from test_periodicity import loop_quivers
 
 from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError,
                       Path, Quiver, build_quiver, check_gentle,
@@ -166,16 +167,57 @@ def reference_neighbours(p):
         for a in arrows)
 
 
-@pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS + ("hand-built violations",))
+def reference_turns(p):
+    """Arrow a -> (a, b, c) for each relation 3-cycle, from a scan over all
+    arrow triples, when each of a, b, c starts exactly one relation; a loop
+    under its own relation is the cycle (a, a, a)."""
+    arrows, relations = range(len(p.quiver.arrows)), p.relations
+
+    def starts_one_relation(x):
+        return sum((x, y) in relations for y in arrows) == 1
+
+    return {a: (a, b, c) for a in arrows for b in arrows for c in arrows
+            if {(a, b), (b, c), (c, a)} <= relations
+            and all(starts_one_relation(x) for x in (a, b, c))}
+
+
+def isolated_vertex_presentation():
+    # w has no arrow; the loop at v is under its own relation
+    return GentlePresentation(
+        Quiver(("u", "v", "w"), (Arrow(0, 0, 1), Arrow(1, 1, 1), Arrow(2, 1, 0))),
+        (), {(0, 1), (1, 1)})
+
+
+@pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS + (
+    "hand-built violations", "loop quivers", "isolated vertex"))
 def test_neighbour_table_matches_the_scan_over_all_arrow_pairs(group):
     if group == "hand-built violations":
         instances = [(name, lambda name=name: violating_presentation(name))
                      for name in VIOLATING]
+    elif group == "loop quivers":
+        instances = [("loop quiver %d" % i,
+                      lambda q=q: GentlePresentation(Quiver(q[0], q[1]), (), q[2]))
+                     for i, q in enumerate(loop_quivers(44, seed=0))]
+    elif group == "isolated vertex":
+        instances = [("isolated vertex", isolated_vertex_presentation)]
     else:
         instances = brute_force_instances(group)
     for name, make in instances:
         p = make()
         assert p.neighbours == reference_neighbours(p), name
+        assert p._turns == reference_turns(p), name
+        assert p._isolated == {v for v in range(len(p.quiver.vertices))
+                               if all(v not in (a.source, a.target)
+                                      for a in p.quiver.arrows)}, name
+        for a in p.loops:  # a loop is its own neighbour before and after
+            nb = p.neighbours[a.idx]
+            both = ((nb.rel_before, nb.rel_after) if (a.idx, a.idx) in p.relations
+                    else (nb.free_before, nb.free_after))
+            assert all(a.idx in side for side in both), name
+    if group == "isolated vertex":
+        assert p._isolated == {2} and p._turns == {1: (1, 1, 1)}
+    if group in ("fixtures", "loop quivers"):
+        assert any(make()._turns for _, make in instances)
 
 
 def test_relation_free_cycle_is_infinite_dimensional():
@@ -301,3 +343,4 @@ def test_arrow_ids_out_of_position_rejected():
                     arrows=(Arrow(1, 0, 1), Arrow(0, 1, 2)))
     with pytest.raises(ValueError, match="arrow ids"):
         GentlePresentation(quiver)
+

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from gentlehh import (CornerInconsistency, DisconnectedSurface,
@@ -276,3 +278,89 @@ def test_boundary_data_matches_a_scan_of_the_sides(monkeypatch):
         assert [(c.points, c.segments) for c in s.boundary_components] == components
         assert list(s.marked_points) == points
         assert fans == incidence
+
+
+def edited_triangulation(data, rng):
+    """One to three seeded edits of a triangulation: rename a vertex, swap
+    a side's kind, reverse an arc, drop or duplicate a triangle, relabel a
+    side onto a label already in use, glue two boundary segments into one
+    arc (their ends identified), or add a disjoint primed copy."""
+    tris = [list(t.sides) for t in data.triangles]
+
+    def rename(mapping):
+        return [[s._replace(src=mapping.get(s.src, s.src), dst=mapping.get(s.dst, s.dst))
+                 for s in t] for t in tris]
+
+    for _ in range(rng.randint(1, 3)):
+        places = [(t, k) for t, sides in enumerate(tris) for k in range(len(sides))]
+        if not places:
+            break
+        t, k = rng.choice(places)
+        side = tris[t][k]
+        edit = rng.choice(("rename", "kind", "reverse", "drop", "duplicate",
+                           "relabel", "glue", "glue", "copy"))
+        if edit == "rename":
+            points = sorted({p for _, sides in enumerate(tris) for s in sides
+                             for p in (s.src, s.dst)})
+            tris = rename({rng.choice(points): rng.choice(points + ["fresh"])})
+        elif edit == "kind":
+            tris[t][k] = side._replace(kind="arc" if side.kind == "boundary" else "boundary")
+        elif edit == "reverse":
+            arcs = [(u, j) for u, j in places if tris[u][j].kind == "arc"]
+            if arcs:
+                u, j = rng.choice(arcs)
+                tris[u][j] = tris[u][j]._replace(src=tris[u][j].dst, dst=tris[u][j].src)
+        elif edit == "drop":
+            del tris[t]
+        elif edit == "duplicate":
+            tris.insert(rng.randrange(len(tris) + 1), list(tris[t]))
+        elif edit == "relabel":
+            tris[t][k] = side._replace(label=rng.choice(tris[rng.randrange(len(tris))]).label)
+        elif edit == "glue":
+            ends = [(u, j) for u, j in places if tris[u][j].kind == "boundary"]
+            if len(ends) >= 2:
+                (u, i), (w, j) = rng.sample(ends, 2)
+                first, second = tris[u][i], tris[w][j]
+                tris = rename({second.src: first.dst, second.dst: first.src})
+                tris[u][i] = tris[u][i]._replace(kind="arc")
+                tris[w][j] = tris[w][j]._replace(kind="arc", label=first.label)
+        else:
+            tris += [[s._replace(label=s.label + "'", src=s.src + "'", dst=s.dst + "'")
+                      for s in sides] for sides in tris]
+    return TriangulationInput(data.name, tuple(Triangle(tuple(t)) for t in tris))
+
+
+def test_edited_triangulations_build_or_raise_a_surface_error():
+    import random
+
+    from gentlehh import SurfaceError, builtin_fixtures, generate_polygon_triangulations
+
+    inputs = [fx.data for fx in builtin_fixtures()]
+    inputs += [d for n in range(4, 9) for d in generate_polygon_triangulations(n)]
+    rng = random.Random(16)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        data = edited_triangulation(rng.choice(inputs), rng)
+        # anything but a SurfaceError (an IndexError or KeyError from the
+        # corner ids, a failed identity assert) propagates and fails the test
+        try:
+            s = build_surface(data)
+        except SurfaceError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        outcomes["surface"] += 1
+        V, F = len(s.marked_points), len(s.triangles)
+        E, b = len(s.arcs) + len(s.boundary_segments), len(s.boundary_components)
+        assert V - E + F == s.euler_char == 2 - 2 * s.genus - b
+        assert 3 * F == 2 * len(s.arcs) + len(s.boundary_segments)
+        assert len(s.arcs) == 6 * s.genus + 3 * b + V - 6
+        assert 3 * len(s.internal) + 2 * s.sint + (F - len(s.internal) - s.sint) \
+            == 2 * len(s.arcs)
+        assert sum(len(c.segments) for c in s.boundary_components) \
+            == len(s.boundary_segments)
+    # the fan and connectivity checks leave a connected oriented surface,
+    # whose V - E + F always gives an integer genus
+    assert outcomes["NonIntegerGenus"] == 0, outcomes
+    assert min(outcomes[name] for name in (
+        "surface", "CornerInconsistency", "NonManifoldGluing", "OrientationMismatch",
+        "UnsupportedSurface", "DisconnectedSurface")) >= 10, outcomes
