@@ -51,16 +51,17 @@ BUILT_TOP = PERIOD_START + PERIOD  # one period, plus D_9 to check against D_3
 class CochainComplex(NamedTuple):
     """Bases and sparse integer differentials of degrees 0..top_degree.
 
-    ``bases[n]`` lists the degree-n parallel pairs; ``differentials[n]``
-    (1-indexed) is D_n with one row per pair of bases[n], each row a
-    tuple of (column, value) pairs with nonzero values and increasing
-    columns, indexing bases[n-1].  Both lists hold the built degrees; with
-    a nonzero ``period`` they stop at BUILT_TOP and every degree n past
-    them repeats the built degree PERIOD_START + (n - PERIOD_START) % period.
+    All tuples, shared and never changed.  ``bases[n]`` is the
+    presentation's degree-n parallel pairs; ``differentials[n]``
+    (1-indexed) is D_n, one row per pair of bases[n], each row the
+    (column, value) pairs with nonzero values and increasing columns,
+    indexing bases[n-1].  Both hold the built degrees; with a nonzero
+    ``period`` they stop at BUILT_TOP and every degree n past them repeats
+    the built degree PERIOD_START + (n - PERIOD_START) % period.
     """
 
-    bases: list
-    differentials: list
+    bases: tuple
+    differentials: tuple
     top_degree: int
     period: int = 0
 
@@ -78,7 +79,7 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     failed check caches nothing.  :func:`build_quiver` hands the same
     presentation back only for the same surface object, which is
     immutable, so a cached complex always belongs to its quiver.  Its
-    lists are shared by every caller and must not be changed.
+    bases are the presentation's levels, not copies.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -91,12 +92,8 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     bases = []
     differentials = [None]
     for n in range(BUILT_TOP + 1 if period else top + 1):
-        bases.append(list(presentation.parallel_pairs(n)))
+        bases.append(presentation.parallel_pairs(n))
         if n == 0:
-            continue
-        matrix = []
-        differentials.append(matrix)
-        if not bases[n]:
             continue
         # D_n(rho, delta) reads f at (tail, delta without its first arrow)
         # when that arrow is the first of rho, and at (head, delta without
@@ -104,6 +101,7 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
         # path is a basis path, so both columns exist.
         columns = {pair: i for i, pair in enumerate(bases[n - 1])}
         sign = -1 if n % 2 else 1
+        matrix = []
         for rho, delta in bases[n]:
             steps = delta.arrows
             if not steps:
@@ -128,8 +126,9 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
                 matrix.append(((tail_col, 1), (head_col, sign)))
             else:
                 matrix.append(((head_col, sign), (tail_col, 1)))
+        differentials.append(tuple(matrix))
 
-    complex_ = CochainComplex(bases=bases, differentials=differentials,
+    complex_ = CochainComplex(bases=tuple(bases), differentials=tuple(differentials),
                               top_degree=top, period=period)
     verify_complex_property(complex_)
     if period:
@@ -150,8 +149,8 @@ def verify_period(presentation: GentlePresentation, complex_: CochainComplex):
              for rho in presentation.zero_paths(2)}
     for n in range(2, len(bases) - 3):
         # a plain (source, arrows) tuple compares as the Path
-        if bases[n + 3] != [((rho.source, turns[rho.arrows[0]] + rho.arrows), gamma)
-                            for rho, gamma in bases[n]]:
+        if bases[n + 3] != tuple([((rho.source, turns[rho.arrows[0]] + rho.arrows), gamma)
+                                  for rho, gamma in bases[n]]):
             raise AssertionError(
                 "bases[%d] is not bases[%d] shifted by one turn" % (n + 3, n))
 

@@ -19,13 +19,20 @@ class FormatError(ValueError):
     """The document is not a well-formed triangulation file."""
 
 
+def _is_text(value) -> bool:
+    """A non-empty string of valid Unicode: a JSON escape can decode to a
+    lone surrogate (U+D800..U+DFFF), which no valid text holds."""
+    return isinstance(value, str) and value != "" and (
+        value.isascii() or not any("\ud800" <= c <= "\udfff" for c in value))
+
+
 def parse_triangulation(doc) -> TriangulationInput:
     """Build a :class:`TriangulationInput` from a decoded JSON document."""
     if not isinstance(doc, dict):
         raise FormatError("top level must be a JSON object")
     name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise FormatError("missing or empty 'name'")
+    if not _is_text(name):
+        raise FormatError("missing or empty 'name', or not valid Unicode")
     raw_triangles = doc.get("triangles")
     if not isinstance(raw_triangles, list) or not raw_triangles:
         raise FormatError("'triangles' must be a non-empty list")
@@ -52,19 +59,20 @@ def parse_triangulation(doc) -> TriangulationInput:
                     "triangle %d side %d: kind must be 'arc' or 'boundary', "
                     "got %r" % (t_idx, s_idx, kind))
             for value in (label, src, dst):
-                if not isinstance(value, str) or not value:
+                if not _is_text(value):
                     raise FormatError(
                         "triangle %d side %d: labels and vertex names must be "
-                        "non-empty strings" % (t_idx, s_idx))
+                        "non-empty strings of valid Unicode" % (t_idx, s_idx))
             sides.append(Side(label=label, kind=kind, src=src, dst=dst))
         triangles.append(Triangle(sides=(sides[0], sides[1], sides[2])))
     return TriangulationInput(name=name, triangles=tuple(triangles))
 
 
 def loads(text: str) -> TriangulationInput:
+    # ValueError: JSONDecodeError, or an integer past the interpreter's digit limit
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError("invalid JSON: %s" % exc)
     return parse_triangulation(doc)
 

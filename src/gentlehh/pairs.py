@@ -41,12 +41,12 @@ class ParallelPairFamily(NamedTuple):
     """All degree-n pair families of one presentation, for the degree n
     the caller passed to :func:`rr_sets`.
 
-    ``ap`` is the list of degree-n zero paths (arrow chains whose
-    consecutive pairs are relations), ``pairs`` the parallel pairs of a
-    zero path with a basis path.  The remaining fields are the subfamilies
-    feeding the dimension formula; ``set_a`` is only populated in degree 0
-    and ``loop_pairs`` is degree independent.  ``gentle_orbits`` is the
-    number of rotation orbits of ``gentle_complete``.
+    ``ap`` is the degree-n zero paths (arrow chains whose consecutive
+    pairs are relations) and ``pairs`` their parallel pairs with basis
+    paths, both the presentation's cached levels.  The remaining fields
+    are the subfamilies feeding the dimension formula; ``set_a`` is only
+    populated in degree 0 and ``loop_pairs`` is degree independent.
+    ``gentle_orbits`` is the number of rotation orbits of ``gentle_complete``.
     """
 
     ap: tuple[Path, ...]
@@ -62,10 +62,10 @@ class ParallelPairFamily(NamedTuple):
     gentle_orbits: int
 
 
-def ap_paths(presentation: GentlePresentation, n: int) -> list[Path]:
-    """Degree-n generators (trivial paths, arrows, then relation chains) as a
-    fresh list from the presentation's cached levels; n < 0 is a ValueError."""
-    return list(presentation.zero_paths(n))
+def ap_paths(presentation: GentlePresentation, n: int) -> tuple[Path, ...]:
+    """Degree-n generators (trivial paths, arrows, then relation chains):
+    the presentation's cached level itself; n < 0 is a ValueError."""
+    return presentation.zero_paths(n)
 
 
 def rotate(presentation: GentlePresentation, rho: Path) -> Path:
@@ -148,7 +148,7 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
         gentle_complete = tuple(pair for pair in complete if pair[0] in gentle)
 
     return ParallelPairFamily(
-        ap=tuple(ap), pairs=pairs, set_a=tuple(set_a),
+        ap=ap, pairs=pairs, set_a=tuple(set_a),
         zero_zero=tuple(zero_zero), complete=tuple(complete),
         incomplete=tuple(incomplete), complete0=tuple(complete0),
         gentle_complete=gentle_complete,
@@ -194,7 +194,7 @@ def _unreachable_vertex(quiver) -> int | None:
     reached, frontier = {0}, [0]
     while frontier:
         v = frontier.pop()
-        for arrows in (quiver._outgoing.get(v, ()), quiver._incoming.get(v, ())):
+        for arrows in (quiver.outgoing.get(v, ()), quiver.incoming.get(v, ())):
             for a in arrows:
                 for w in (a.source, a.target):
                     if w not in reached:

@@ -50,24 +50,18 @@ class Path(NamedTuple):
 
 
 class Quiver:
-    """Vertices and arrows, with the adjacency in arrow-id order built once
-    at construction."""
+    """Vertices and arrows; ``outgoing`` and ``incoming``, built once, map a
+    vertex to the tuple of its arrows out, or in, in id order (if any)."""
 
-    __slots__ = ("vertices", "arrows", "_outgoing", "_incoming")
+    __slots__ = ("vertices", "arrows", "outgoing", "incoming")
 
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
         self.vertices = vertices
         self.arrows = arrows
-        self._outgoing, self._incoming = {}, {}
+        self.outgoing, self.incoming = outgoing, incoming = {}, {}
         for a in arrows:
-            self._outgoing.setdefault(a.source, []).append(a)
-            self._incoming.setdefault(a.target, []).append(a)
-
-    def outgoing(self, vertex: int) -> list[Arrow]:
-        return list(self._outgoing.get(vertex, ()))
-
-    def incoming(self, vertex: int) -> list[Arrow]:
-        return list(self._incoming.get(vertex, ()))
+            outgoing[a.source] = outgoing.get(a.source, ()) + (a,)
+            incoming[a.target] = incoming.get(a.target, ()) + (a,)
 
     def arrow_name(self, idx: int) -> str:
         a = self.arrows[idx]
@@ -98,14 +92,15 @@ class GentlePresentation:
     by whether they compose with it into a relation; gentleness, the basis,
     the zero paths, the 3-cycle turns and :meth:`annihilated` all read it.
     ``loop_pairs`` pairs each loop with the trivial path at its vertex.
-    Cached on first use: the zero-path levels (AP_n extended from
-    AP_{n-1}), ``basis``, ``parallel`` (the basis paths by (source,
-    target), in basis order), the parallel-pair levels and ``periodic``
-    (whether the levels repeat under :meth:`shift`).  ``complexes`` and
-    ``rr_counts``, keyed by nmax, hold what :func:`cochain.build_complex`
-    and :func:`pairs.hh_dims_rr` derive from it, each checked once when
-    built.  Nothing cached holds a characteristic, so one presentation
-    serves every characteristic; it changes only by filling these caches.
+    Cached on first use and shared, never copied: the zero-path levels (AP_n
+    extended from AP_{n-1}), ``basis``, ``parallel`` (the tuples of basis
+    paths by (source, target), in basis order), the parallel-pair levels and
+    ``periodic`` (whether the levels repeat under :meth:`shift`).
+    ``complexes`` and ``rr_counts``, keyed by nmax, hold what
+    :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr` derive from it,
+    each checked once when built.  Nothing cached holds a characteristic, so
+    one presentation serves every characteristic; it changes only by filling
+    these caches.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
@@ -128,7 +123,7 @@ class GentlePresentation:
                                 for a in self.loops)
         self.relation_midpoints = frozenset(
             quiver.arrows[first].target for first, _ in relations)
-        outgoing, incoming = quiver._outgoing, quiver._incoming
+        outgoing, incoming = quiver.outgoing, quiver.incoming
         self._isolated = frozenset(range(len(quiver.vertices))).difference(
             outgoing, incoming)
         table = []
@@ -164,16 +159,18 @@ class GentlePresentation:
 
     @cached_property
     def basis(self) -> tuple[Path, ...]:
-        self._parallel = {}
-        return tuple(enumerate_basis(self, self._parallel))
+        return tuple(enumerate_basis(self))
 
-    @property
+    @cached_property
     def parallel(self) -> dict:
-        """(source, target) -> list of the basis paths with those ends, in
-        basis order, filed by :func:`enumerate_basis` as it walks; shared,
-        so not to be changed."""
-        self.basis  # fills self._parallel on first use
-        return self._parallel
+        """(source, target) -> the tuple of basis paths with those ends, in
+        basis order."""
+        # each group holds few paths: concatenating beats lists converted after
+        grouped, targets = {}, self._targets
+        for path in self.basis:
+            ends = path.source, targets[path.arrows[-1]] if path.arrows else path.source
+            grouped[ends] = grouped.get(ends, ()) + (path,)
+        return grouped
 
     def zero_paths(self, n: int) -> tuple[Path, ...]:
         """AP_n in path order: trivial paths, arrows, then chains of n arrows
@@ -313,8 +310,8 @@ def check_gentle(presentation: GentlePresentation) -> list[Violation]:
     quiver = presentation.quiver
     violations = []
     for v in range(len(quiver.vertices)):
-        for direction, arrows in (("outgoing", quiver._outgoing.get(v, ())),
-                                  ("incoming", quiver._incoming.get(v, ()))):
+        for direction, arrows in (("outgoing", quiver.outgoing.get(v, ())),
+                                  ("incoming", quiver.incoming.get(v, ()))):
             if len(arrows) > 2:
                 violations.append(Violation(
                     "G1", "vertex %s has %d %s arrows: %s"
@@ -342,7 +339,7 @@ def _extend(level, successors) -> tuple[Path, ...]:
                   for p in level for b in successors[p.arrows[-1]]])
 
 
-def enumerate_basis(presentation: GentlePresentation, index=None) -> list[Path]:
+def enumerate_basis(presentation: GentlePresentation) -> list[Path]:
     """All paths containing no relation, in (length, source, arrows) order.
 
     The trivial paths and the arrows (AP_0 and AP_1) are the first two
@@ -353,9 +350,8 @@ def enumerate_basis(presentation: GentlePresentation, index=None) -> list[Path]:
     arrow, because the stretch between the two copies is a relation-free
     cycle, which gives basis paths of every length.  Conversely a
     relation-free cycle makes some basis path of at most |Q1| + 1 arrows
-    repeat its last arrow, so without one the levels run out.  A dict
-    ``index`` gets each basis path appended under its (source, target) as
-    the walk meets it, so each list is in basis order.
+    repeat its last arrow, so without one the levels run out.
+    ``GentlePresentation.parallel`` groups the result by endpoints.
 
     Under G4 a level holds at most |Q1| paths, so the basis costs
     O(|Q1|^3); without G4 a level can grow as the out-degree to the power
@@ -364,11 +360,7 @@ def enumerate_basis(presentation: GentlePresentation, index=None) -> list[Path]:
     surfaces, which are always finite.
     """
     free_after = [nb.free_after for nb in presentation.neighbours]
-    targets = presentation._targets
-    index = {} if index is None else index
     basis = list(presentation.zero_paths(0))
-    for e in basis:
-        index.setdefault((e.source, e.source), []).append(e)
     level = presentation.zero_paths(1)
     while level:
         for path in level:
@@ -377,7 +369,6 @@ def enumerate_basis(presentation: GentlePresentation, index=None) -> list[Path]:
                 raise InfiniteDimensionalError(
                     "relation-free cycle through arrow %s"
                     % presentation.quiver.arrow_name(last))
-            index.setdefault((path.source, targets[last]), []).append(path)
         basis.extend(level)
         level = _extend(level, free_after)
     return basis

@@ -236,8 +236,8 @@ def build_surface(data: TriangulationInput) -> TriangulatedSurface:
 
 def _vertex_fans(sides, other, boundary):
     """Walk the corner fan around every vertex; return, per marked point,
-    the boundary segment leaving it and whether an arc ends there, and
-    separately the id of that segment.  ``boundary`` lists the boundary ids.
+    whether an arc ends there, and separately the id of the boundary
+    segment leaving it.  ``boundary`` lists the boundary ids.
 
     Side id ``c`` also names the corner at the head of ``sides[c]``, between
     that side (in) and the next side of its triangle (out, id ``c + 1``, or
@@ -281,7 +281,7 @@ def _vertex_fans(sides, other, boundary):
             raise NonManifoldGluing(
                 "marked point %r: %d corner(s) unreachable from its boundary "
                 "wedge (puncture or pinch)" % (vertex, count - walked))
-        fans[vertex] = (sides[out], walked > 1)
+        fans[vertex] = walked > 1
         leaving[vertex] = out
     return fans, leaving
 
@@ -353,7 +353,7 @@ def _boundary_profiles(components, fans) -> tuple[BoundaryProfile, ...]:
     and the segments between two such points."""
     profiles = []
     for idx, comp in enumerate(components):
-        incident = [fans[p][1] for p in comp.points]
+        incident = [fans[p] for p in comp.points]
         m_seg = sum(1 for i in range(len(incident)) if incident[i - 1] and incident[i])
         profiles.append(BoundaryProfile(idx, sum(incident), m_seg))
     return tuple(profiles)

@@ -313,6 +313,24 @@ def test_deeply_nested_json_exits_2(command, tmp_path, capsys):
     assert_one_line_error(cli.main(argv), capsys)
 
 
+def malformed_text(kind):
+    if kind == "long number":
+        # past the interpreter's 4300-digit limit for integer literals
+        return '{"name": 1%s, "triangles": []}' % ("0" * 5000)
+    doc = fileformat.as_document(fixture_by_name("fig8").data)
+    doc["name"] = "fig8 \ud800"  # a lone surrogate: not valid Unicode
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind", ("long number", "lone surrogate"))
+@pytest.mark.parametrize("command", ("analyze", "crosscheck", "ag-compare"))
+def test_malformed_json_text_exits_2(command, kind, fixture_file, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(malformed_text(kind), encoding="utf-8")
+    argv = [command, str(path)] + ([fixture_file("fig8")] if command == "ag-compare" else [])
+    assert_one_line_error(cli.main(argv), capsys)
+
+
 def test_ag_compare_runs_only_the_geometric_method(fixture_file, capsys, monkeypatch):
     import gentlehh.report as report_module
 

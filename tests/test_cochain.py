@@ -206,6 +206,11 @@ def test_hh0_is_the_centre_dimension():
         assert oracle.dims[0] == expected
 
 
+def replaced(levels, i, value):
+    """A copy of the tuple ``levels`` with position i holding ``value``."""
+    return levels[:i] + (value,) + levels[i + 1:]
+
+
 @pytest.mark.parametrize("name", ("fig8", "torus-T1"))
 def test_perturbed_differential_fails_the_complex_check(name):
     complex_ = build_complex(presentation_for(name), 6)
@@ -215,9 +220,13 @@ def test_perturbed_differential_fails_the_complex_check(name):
                 if row and any(col == k for entries in complex_.differentials[n + 1]
                                for col, _ in entries))
     (col, value), *rest = complex_.differentials[n][k]
-    complex_.differentials[n][k] = ((col, 2 * value), *rest)
+    perturbed = complex_._replace(differentials=replaced(
+        complex_.differentials, n,
+        replaced(complex_.differentials[n], k, ((col, 2 * value), *rest))))
     with pytest.raises(AssertionError, match="D_%d . D_%d" % (n + 1, n)):
-        verify_complex_property(complex_)
+        verify_complex_property(perturbed)
+    verify_complex_property(complex_)
+
 
 
 def random_polygon(n, seed):

@@ -51,6 +51,10 @@ def test_extra_keys_ignored():
     (lambda d: d["triangles"][0][0].pop("label"), "missing key"),
     (lambda d: d["triangles"][0][0].update(kind="edge"), "kind"),
     (lambda d: d["triangles"][0][0].update({"from": ""}), "non-empty"),
+    (lambda d: d.update(name="\ud800"), "Unicode"),
+    (lambda d: d["triangles"][0][0].update(label="e\udfff"), "Unicode"),
+    (lambda d: d["triangles"][1][2].update({"from": "\u00e9\udc00"}), "Unicode"),
+    (lambda d: d["triangles"][1][2].update(to="\udbff4"), "Unicode"),
 ])
 def test_malformed_documents_rejected(mutate, fragment):
     import json
@@ -62,9 +66,16 @@ def test_malformed_documents_rejected(mutate, fragment):
 
 
 def test_invalid_json_rejected():
-    for text in ("{not json", "[" * 200000):
+    # an integer literal past the interpreter's 4300-digit limit, too
+    for text in ("{not json", "[" * 200000, '{"name": 1%s}' % ("0" * 5000)):
         with pytest.raises(FormatError):
             fileformat.loads(text)
+
+
+def test_escaped_surrogate_pairs_are_text():
+    # a pair of escapes is one astral character; only a lone half is rejected
+    text = GOOD.replace('"wedge"', '"w\\ud83d\\ude00 \\u00e9"')
+    assert fileformat.loads(text).name == "w\U0001f600 \u00e9"
 
 
 def test_load_and_dump_file(tmp_path):

@@ -66,7 +66,7 @@ def test_levels_come_out_in_path_order_without_sorting(group, monkeypatch):
         for n in range(top + 1):
             level = p.zero_paths(n)
             assert list(level) == sorted(level, key=path_key), (name, n)
-            assert list(level) == reference_ap_paths(p, n), (name, n)
+            assert level == tuple(reference_ap_paths(p, n)), (name, n)
         basis = finite_basis(p)
         monkeypatch.undo()
         if basis is None:
@@ -76,7 +76,7 @@ def test_levels_come_out_in_path_order_without_sorting(group, monkeypatch):
         scan = {}
         for gamma in basis:
             scan.setdefault((gamma.source, target(p, gamma)), []).append(gamma)
-        assert p.parallel == scan, name
+        assert p.parallel == {ends: tuple(paths) for ends, paths in scan.items()}, name
         for n in range(top + 1):
             pairs = [(rho, gamma) for rho in p.zero_paths(n) for gamma in basis
                      if (rho.source, target(p, rho)) == (gamma.source, target(p, gamma))]
@@ -163,8 +163,8 @@ def test_complex_rows_equal_the_sorted_entry_dicts(group):
         complex_ = build_complex(p, top)
         bases, differentials = reference_complex(p, top)
         for n in range(1, len(complex_.differentials)):
-            assert complex_.bases[n] == bases[n], (name, n)
-            assert complex_.differentials[n] == differentials[n], (name, n)
+            assert complex_.bases[n] == tuple(bases[n]), (name, n)
+            assert complex_.differentials[n] == tuple(differentials[n]), (name, n)
             for rho, delta in bases[n]:
                 steps = delta.arrows
                 if not (steps and steps[0] == rho.arrows[0] and steps[-1] == rho.arrows[-1]):

@@ -273,14 +273,16 @@ def test_cached_zero_paths_match_the_scratch_rebuild(group):
     for name, make in brute_force_instances(group):
         ascending, top_first = make(), make()
         assert ascending is not top_first
-        assert ap_paths(top_first, TOP) == reference_ap_paths(ascending, TOP), name
+        assert ap_paths(top_first, TOP) == tuple(reference_ap_paths(ascending, TOP)), name
         for n in range(TOP + 1):
-            expected = reference_ap_paths(ascending, n)
+            expected = tuple(reference_ap_paths(ascending, n))
             assert ap_paths(ascending, n) == expected, (name, n)
             assert ap_paths(top_first, n) == expected, (name, n)
+            # the cached level itself, which no caller can change
             returned = ap_paths(ascending, n)
-            returned.append(Path(0, ()))
-            returned.reverse()
+            assert returned is ascending.zero_paths(n), (name, n)
+            with pytest.raises(AttributeError):
+                returned.append(Path(0, ()))
             assert ap_paths(ascending, n) == expected, (name, n)
         with pytest.raises(ValueError):
             ap_paths(ascending, -1)

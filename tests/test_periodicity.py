@@ -9,7 +9,7 @@ up to nmax + 1, and the rr formula over rr_sets of every degree.
 import random
 
 import pytest
-from test_cochain import random_polygon
+from test_cochain import random_polygon, replaced
 from test_pairs import extra_relation_presentation
 
 from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError, Path,
@@ -209,17 +209,19 @@ def test_a_perturbed_row_in_the_built_period_raises(degree):
     rows = complex_.differentials[degree]
     k = next(k for k, row in enumerate(rows) if row)
     (col, value), *rest = rows[k]
-    rows[k] = ((col, 2 * value), *rest)
+    perturbed = complex_._replace(differentials=replaced(
+        complex_.differentials, degree, replaced(rows, k, ((col, 2 * value), *rest))))
     with pytest.raises(AssertionError, match="D_"):
-        verify_period(p, complex_)
+        verify_period(p, perturbed)
+    verify_period(p, complex_)
 
 
 def test_a_wrong_shift_raises(monkeypatch):
     p, complex_ = torus_complex()
     bases = complex_.bases[5]
-    bases[0], bases[-1] = bases[-1], bases[0]
+    swapped = (bases[-1],) + bases[1:-1] + (bases[0],)
     with pytest.raises(AssertionError, match="bases"):
-        verify_period(p, complex_)
+        verify_period(p, complex_._replace(bases=replaced(complex_.bases, 5, swapped)))
 
     p = build_quiver(fixture_by_name("torus-T1").surface)
     assert p.periodic

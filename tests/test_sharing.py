@@ -9,8 +9,9 @@ share everything that does not depend on the characteristic.
 import gc
 import weakref
 
-from gentlehh import (build_complex, build_quiver, cli, fixture_by_name,
-                      hh_dims_oracle, hh_dims_rr)
+from gentlehh import (build_complex, build_quiver, build_surface, cli, fixture_by_name,
+                      generate_polygon_triangulations, hh_dims_oracle, hh_dims_rr,
+                      rr_sets)
 from gentlehh import cochain as cochain_module
 from gentlehh import quiver as quiver_module
 from gentlehh import report as report_module
@@ -76,3 +77,27 @@ def test_cached_objects_serve_every_characteristic():
     assert hh_dims_rr(p, 0, 13).dims != hh_dims_rr(p, 2, 13).dims
     assert (hh_dims_oracle(build_complex(p, 13), 0).dims
             != hh_dims_oracle(build_complex(p, 13), 2).dims)
+
+
+def test_levels_are_shared_tuples():
+    # every table the quiver, the presentation and the complex hand out is
+    # a tuple built once: the rr families and the complex hold the
+    # presentation's levels themselves, not copies.  The 7-gon has an
+    # internal triangle, so no AP_n is the (shared) empty tuple.
+    heptagon = next(s for s in map(build_surface, generate_polygon_triangulations(7))
+                    if s.internal)
+    for surface in (fixture_by_name("torus-T1").surface, heptagon):
+        p = build_quiver(surface)
+        complex_ = build_complex(p, 13)
+        assert type(complex_.bases) is type(complex_.differentials) is tuple
+        assert len(complex_.bases) == len(complex_.differentials) == 10
+        for n in range(len(complex_.bases)):
+            assert complex_.bases[n] is p.parallel_pairs(n), (surface.name, n)
+            family = rr_sets(p, n)
+            assert family.ap and family.ap is p.zero_paths(n), (surface.name, n)
+            assert family.pairs is p.parallel_pairs(n), (surface.name, n)
+        assert sum(map(bool, complex_.bases)) >= 7
+        assert all(type(rows) is tuple for rows in complex_.differentials[1:])
+        adjacency = list(p.quiver.outgoing.values()) + list(p.quiver.incoming.values())
+        assert adjacency and all(type(arrows) is tuple for arrows in adjacency)
+        assert p.parallel and all(type(paths) is tuple for paths in p.parallel.values())

@@ -250,14 +250,20 @@ def test_boundary_data_matches_a_scan_of_the_sides(monkeypatch):
                           generate_polygon_triangulations)
 
     fixtures = builtin_fixtures()  # loading validates them: not recorded below
-    fans_read = []
+    fans_read, leaving_read = [], []
     profiles = surface_module._boundary_profiles
+    boundary_components = surface_module._boundary_components
 
     def recording_profiles(components, fans):
         fans_read.append(fans)
         return profiles(components, fans)
 
+    def recording_components(sides, boundary, leaving):
+        leaving_read.append({p: sides[c] for p, c in leaving.items()})
+        return boundary_components(sides, boundary, leaving)
+
     monkeypatch.setattr(surface_module, "_boundary_profiles", recording_profiles)
+    monkeypatch.setattr(surface_module, "_boundary_components", recording_components)
     surfaces = [build_surface(fx.data) for fx in fixtures]
     surfaces += [build_surface(d) for n in range(4, 9)
                  for d in generate_polygon_triangulations(n)]
@@ -272,12 +278,13 @@ def test_boundary_data_matches_a_scan_of_the_sides(monkeypatch):
             mutants += 1
         except (fileformat.FormatError, SurfaceError):
             pass
-    assert mutants >= 20 and len(fans_read) == len(surfaces)
-    for s, fans in zip(surfaces, fans_read):
+    assert mutants >= 20 and len(fans_read) == len(leaving_read) == len(surfaces)
+    for s, fans, leaving in zip(surfaces, fans_read, leaving_read):
         components, points, incidence = reference_boundary_data(s)
         assert [(c.points, c.segments) for c in s.boundary_components] == components
         assert list(s.marked_points) == points
-        assert fans == incidence
+        assert (leaving, fans) == ({p: segment for p, (segment, _) in incidence.items()},
+                                   {p: ends for p, (_, ends) in incidence.items()})
 
 
 def edited_triangulation(data, rng):
