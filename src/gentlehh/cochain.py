@@ -16,7 +16,10 @@ The complex is assembled once, over the integers and independent of the
 characteristic, with sparse differentials: the row of a pair (rho, delta)
 has at most two entries, found by dict lookup and written straight out
 (one entry 1 + sign when both land in one column).  The characteristic enters
-only in :func:`hh_dims_oracle`, at the rank step.
+only in :func:`hh_dims_oracle`, at the rank step.  A row is empty, one
+entry (1, +-1 or 2) or the two entries 1 and +-1, so each D_n is the
+incidence matrix of a signed graph on the degree-(n-1) cochains, which
+:func:`linalg.rank` ranks by a union-find count, without elimination.
 
 Only one verified period is built.  When the presentation's zero paths
 repeat (``GentlePresentation.periodic``: AP_{n+3} is AP_n with one more
@@ -75,23 +78,31 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     every build, and the period on every build that uses it.
 
     The complex holds no characteristic, so it is built once per
-    presentation and nmax and cached in ``presentation.complexes``; a
-    failed check caches nothing.  :func:`build_quiver` hands the same
-    presentation back only for the same surface object, which is
-    immutable, so a cached complex always belongs to its quiver.  Its
-    bases are the presentation's levels, not copies.
+    presentation and built range and cached in ``presentation.complexes``,
+    keyed by the top degree built and the period: (BUILT_TOP, PERIOD) for
+    every nmax that uses the period, (nmax + 1, 0) otherwise.  A call at
+    another nmax gets the same bases and differentials under its own
+    ``top_degree``, which the cache then holds; a failed check caches
+    nothing.  :func:`build_quiver` hands the same presentation back only
+    for the same surface object, which is immutable, so a cached complex
+    always belongs to its quiver.  Its bases are the presentation's
+    levels, not copies.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    if nmax in presentation.complexes:
-        return presentation.complexes[nmax]
-    arrows = presentation.quiver.arrows
     top = nmax + 1
     period = PERIOD if top > BUILT_TOP and presentation.periodic else 0
-
+    built = BUILT_TOP if period else top
+    complex_ = presentation.complexes.get((built, period))
+    if complex_ is not None:
+        if complex_.top_degree != top:
+            complex_ = presentation.complexes[built, period] = \
+                complex_._replace(top_degree=top)
+        return complex_
+    arrows = presentation.quiver.arrows
     bases = []
     differentials = [None]
-    for n in range(BUILT_TOP + 1 if period else top + 1):
+    for n in range(built + 1):
         bases.append(presentation.parallel_pairs(n))
         if n == 0:
             continue
@@ -133,7 +144,7 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     verify_complex_property(complex_)
     if period:
         verify_period(presentation, complex_)
-    presentation.complexes[nmax] = complex_
+    presentation.complexes[built, period] = complex_
     return complex_
 
 
@@ -185,10 +196,11 @@ def hh_dims_oracle(complex_: CochainComplex, characteristic: int) -> HHTable:
     (characteristic 0) or GF(characteristic).
 
     HH^0 is the kernel dimension of D_1 and HH^n the kernel of D_{n+1}
-    minus the rank of D_n; all ranks by exact sparse elimination, once
-    per built degree, and in characteristic 2 once per degree mod 3 from
-    PERIOD_START on when the complex is periodic (D_{n+3} = D_n mod 2 is
-    verified, and bases[n + 3] has the size of bases[n]).
+    minus the rank of D_n; every rank is exact, counted on the signed
+    graph of D_n, once per built degree, and in characteristic 2 once per
+    degree mod 3 from PERIOD_START on when the complex is periodic
+    (D_{n+3} = D_n mod 2 is verified, and bases[n + 3] has the size of
+    bases[n]).
     """
     check_characteristic(characteristic)
     bases, differentials = complex_.bases, complex_.differentials

@@ -207,8 +207,9 @@ class RRCounts(NamedTuple):
     """The characteristic-free counts :func:`hh_dims_rr` combines: the
     degree-0 annihilated cycle pairs, the loop pairs, and ``degrees[n]``
     for n >= 1, the zero_zero and empty_incomplete sizes and the gentle
-    complete orbits of degree n; ``periodic`` when degrees past
-    RR_BUILT_TOP repeat the counts three below."""
+    complete orbits of degree n, for the degrees enumerated; ``periodic``
+    when those stop at RR_BUILT_TOP and later degrees repeat the counts
+    three below."""
 
     set_a: int
     loop_pairs: int
@@ -217,29 +218,28 @@ class RRCounts(NamedTuple):
 
 
 def _rr_counts(presentation: GentlePresentation, nmax: int) -> RRCounts:
-    """The rr counts of degrees 0..nmax, built once per presentation and
-    nmax, with the connectivity check and the period check; a failed
+    """The rr counts of degrees 0..nmax, or of 0..RR_BUILT_TOP when the
+    period serves nmax, with the connectivity check and the period check.
+    Built once per presentation and enumerated range, and cached keyed by
+    the top degree enumerated and whether the period is used; a failed
     check caches nothing."""
-    if nmax in presentation.rr_counts:
-        return presentation.rr_counts[nmax]
+    periodic = nmax > RR_BUILT_TOP and presentation.periodic
+    built = RR_BUILT_TOP if periodic else nmax
+    if (built, periodic) in presentation.rr_counts:
+        return presentation.rr_counts[built, periodic]
     quiver = presentation.quiver
     unreached = _unreachable_vertex(quiver)
     if unreached is not None:
         raise ValueError("rr needs a connected quiver: vertex %s is not reachable "
                          "from vertex %s"
                          % (quiver.vertices[unreached], quiver.vertices[0]))
-    periodic = nmax > RR_BUILT_TOP and presentation.periodic
-    families = [rr_sets(presentation, n)
-                for n in range(RR_BUILT_TOP + 1 if periodic else nmax + 1)]
+    families = [rr_sets(presentation, n) for n in range(built + 1)]
     degrees = [None] + [(len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
                         for f in families[1:]]
-    if periodic:
-        if degrees[RR_BUILT_TOP] != degrees[RR_BUILT_TOP - 3]:
-            raise AssertionError("rr counts of degree %d differ from degree %d"
-                                 % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
-        for n in range(RR_BUILT_TOP + 1, nmax + 1):
-            degrees.append(degrees[n - 3])
-    counts = presentation.rr_counts[nmax] = RRCounts(
+    if periodic and degrees[RR_BUILT_TOP] != degrees[RR_BUILT_TOP - 3]:
+        raise AssertionError("rr counts of degree %d differ from degree %d"
+                             % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
+    counts = presentation.rr_counts[built, periodic] = RRCounts(
         set_a=len(families[0].set_a), loop_pairs=len(families[1].loop_pairs),
         degrees=tuple(degrees), periodic=periodic)
     return counts
@@ -258,8 +258,9 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     so one with a vertex unreachable from vertex 0 is a ValueError.
 
     The counts do not depend on the characteristic: they are cached in
-    ``presentation.rr_counts``, keyed by nmax, and only the weighted sum
-    runs per call.  :func:`build_quiver` hands the same presentation back
+    ``presentation.rr_counts``, one entry for every nmax that uses the
+    period, and only the extension by the period and the weighted sum run
+    per call.  :func:`build_quiver` hands the same presentation back
     only for the same surface object, which is immutable, so the cached
     counts always belong to the quiver they are read with.
     """
@@ -267,7 +268,9 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     counts = _rr_counts(presentation, nmax)
-    degrees = counts.degrees
+    degrees = list(counts.degrees)
+    while len(degrees) <= nmax:
+        degrees.append(degrees[-3])
     quiver = presentation.quiver
     dims = [1 + counts.set_a]
     hh1 = 1 + degrees[1][0] + len(quiver.arrows) - len(quiver.vertices)

@@ -13,7 +13,7 @@ grows the zero-path levels AP_n, over the relation-free ones the path
 basis, and the first basis path to repeat an arrow decides finiteness.
 """
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .surface import ARC, TriangulatedSurface, internal_triangles, sint_count
@@ -47,6 +47,10 @@ class Path(NamedTuple):
 
     source: int
     arrows: tuple[int, ...]
+
+
+# Path((source, arrows)) without the Python-level NamedTuple constructor
+_path = partial(tuple.__new__, Path)
 
 
 class Quiver:
@@ -96,9 +100,10 @@ class GentlePresentation:
     extended from AP_{n-1}), ``basis``, ``parallel`` (the tuples of basis
     paths by (source, target), in basis order), the parallel-pair levels and
     ``periodic`` (whether the levels repeat under :meth:`shift`).
-    ``complexes`` and ``rr_counts``, keyed by nmax, hold what
+    ``complexes`` and ``rr_counts``, keyed by the degrees built, hold what
     :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr` derive from it,
-    each checked once when built.  Nothing cached holds a characteristic, so
+    each checked once when built, so every nmax that uses the period
+    shares one entry.  Nothing cached holds a characteristic, so
     one presentation serves every characteristic; it changes only by filling
     these caches.
     """
@@ -196,11 +201,11 @@ class GentlePresentation:
             self.zero_paths(n)
             while len(levels) <= n:
                 degree, pairs = len(levels), []
+                append = pairs.append
                 for rho in self._zero_paths[degree]:
                     end = targets[rho.arrows[-1]] if degree else rho.source
-                    gammas = parallel.get((rho.source, end))
-                    if gammas:
-                        pairs += [(rho, gamma) for gamma in gammas]
+                    for gamma in parallel.get((rho.source, end), ()):
+                        append((rho, gamma))
                 levels.append(tuple(pairs))
         return levels[n]
 
@@ -209,7 +214,7 @@ class GentlePresentation:
         3-cycle a -> b -> c of its first arrow a, inserted in front: a b ...
         becomes a b c a b ...  The first arrow, the last arrow, the source
         and the target stay, so the parallel basis paths stay too."""
-        return Path(rho.source, self._turns[rho.arrows[0]] + rho.arrows)
+        return _path((rho.source, self._turns[rho.arrows[0]] + rho.arrows))
 
     @cached_property
     def periodic(self) -> bool:
@@ -335,8 +340,8 @@ def _extend(level, successors) -> tuple[Path, ...]:
     (``successors`` is indexed by arrow id, each list ascending, as the
     neighbour lists are), in path order when ``level`` is: paths of one
     length compare as their parents, then as their last arrows."""
-    return tuple([Path(p.source, p.arrows + (b,))
-                  for p in level for b in successors[p.arrows[-1]]])
+    return tuple([_path((source, arrows + (b,)))
+                  for source, arrows in level for b in successors[arrows[-1]]])
 
 
 def enumerate_basis(presentation: GentlePresentation) -> list[Path]:

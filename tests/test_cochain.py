@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gentlehh import (build_complex, build_quiver, build_surface,
                       fixture_by_name, hh_dims_oracle, internal_triangles,
                       verify_complex_property)
+from gentlehh import linalg
 from gentlehh.fileformat import parse_triangulation
 from gentlehh.linalg import nullity, rank
 from gentlehh.report import compute_tables
@@ -80,6 +81,86 @@ def products(height, inner, width):
 def test_sparse_rank_matches_brute_force(dense, char):
     rows = [tuple((j, x) for j, x in enumerate(row) if x) for row in dense]
     assert rank(rows, char) == reference_rank(dense, char)
+
+
+def dense_of(rows, n_cols):
+    dense = [[0] * n_cols for _ in rows]
+    for r, entries in enumerate(rows):
+        for col, value in entries:
+            dense[r][col] = value
+    return dense
+
+
+@st.composite
+def signed_graph_rows(draw, extra=()):
+    """Rows of a signed-graph incidence matrix on 2 to 4 columns: edges
+    of equal or opposite values, a cycle of them with random signs (so
+    balanced and unbalanced cycles both occur), half-edges of value +-1
+    and 2, empty rows and explicit zero entries, in random order; ``extra``
+    adds row strategies of other shapes."""
+    n_cols = draw(st.integers(2, 4))
+    col = st.integers(0, n_cols - 1)
+    value = st.sampled_from((1, -1, 2, -2, 3))
+
+    def edge(ends, a, same, zero):
+        (i, j), b = ends, 0 if zero else (a if same else -a)
+        return ((i, a), (j, b))
+
+    two_cols = st.lists(col, min_size=2, max_size=2, unique=True)
+    row = st.one_of(
+        st.just(()),
+        st.tuples(st.tuples(col, st.sampled_from((1, -1, 2, 0)))),
+        st.builds(edge, two_cols, value, st.booleans(),
+                  st.sampled_from((False,) * 5 + (True,))),
+        *extra)
+    rows = draw(st.lists(row, max_size=5))
+    cycle = draw(st.lists(col, min_size=2, max_size=n_cols, unique=True))
+    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+        rows.append(edge((i, j), draw(value), draw(st.booleans()), False))
+    return draw(st.permutations(rows)), n_cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_graph_rows(), st.sampled_from((0, 2, 3, 5)))
+def test_signed_graph_rank_matches_brute_force(drawn, char):
+    rows, n_cols = drawn
+    assert linalg._signed_rank(rows, char) is not None
+    assert rank(rows, char) == reference_rank(dense_of(rows, n_cols), char)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_graph_rows(extra=(
+           # two entries of different magnitude, and three entries
+           st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)
+           .map(lambda cols: ((cols[0], 1), (cols[1], 2))),
+           st.lists(st.integers(0, 3), min_size=3, max_size=3, unique=True)
+           .map(lambda cols: tuple((c, (-1) ** c) for c in cols)))),
+       st.sampled_from((0, 2, 3, 5)))
+def test_rank_with_rows_outside_a_signed_graph_matches_brute_force(drawn, char):
+    rows, _ = drawn
+    n_cols = 1 + max((col for entries in rows for col, _ in entries), default=0)
+    assert rank(rows, char) == reference_rank(dense_of(rows, n_cols), char)
+
+
+def test_rows_with_three_entries_are_eliminated(monkeypatch):
+    eliminated = []
+    original = linalg._eliminate
+
+    def counting(rows, char):
+        eliminated.append(char)
+        return original(rows, char)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    triangle = [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 1), (2, -1))]
+    for char in (0, 2, 3):
+        assert rank(triangle, char) == 2
+    # three nonzero entries, except mod 2, where the -2 vanishes
+    stacked = triangle + [((0, 1), (1, 1), (2, -2))]
+    assert [rank(stacked, char) for char in (0, 2, 3)] == [2, 2, 2]
+    # 1 and 2 differ in magnitude, except mod 3, where 2 = -1, and mod 2,
+    # where 2 = 0
+    assert [rank([((0, 1), (1, 2))] * 2, char) for char in (0, 2, 3)] == [1, 1, 1]
+    assert eliminated == [0, 3, 0]
 
 
 def test_oracle_characteristic_validation():
@@ -266,10 +347,10 @@ def test_four_way_agreement_at_odd_primes(char):
 
 
 def test_gf2_rank_of_rows_spanning_several_words():
-    # columns j -> 97 j + 3 run past bit 64 and past bit 1024, so one packed
-    # row spans several machine words; under j -> 1024 j + 5 every column is
-    # 5 mod 64 and mod 1024, so a packing that wrapped at a word would merge
-    # them.  Entries include negative and even ones.
+    # columns j -> 97 j + 3 run past 64 and past 1024; under j -> 1024 j + 5
+    # every column is 5 mod 64 and mod 1024, so a rank that indexed columns
+    # by a word-sized or wrapped position would merge them.  Entries include
+    # negative and even ones.
     rng = random.Random(12)
     entries = set()
     for spread in (lambda j: 97 * j + 3, lambda j: 1024 * j + 5):

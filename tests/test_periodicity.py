@@ -18,6 +18,7 @@ from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError, Path,
                       fixture_by_name, generate_polygon_triangulations,
                       hh_dims_oracle, hh_dims_rr, rr_sets, verify_period)
 from gentlehh import cochain as cochain_module
+from gentlehh import linalg
 from gentlehh import pairs as pairs_module
 from gentlehh.cochain import BUILT_TOP
 from gentlehh.linalg import nullity, rank
@@ -304,3 +305,27 @@ def test_presentations_with_loops_agree_and_their_period_is_exact():
             assert rr == hh_dims_rr(full, char, 14).dims
             assert rr == hh_dims_oracle(build_complex(full, 14), char).dims
     assert periodic >= 30
+
+
+def test_every_oracle_rank_is_a_signed_graph_count(monkeypatch):
+    # each row of D_n has at most two terms, a_1 f(...) and +-f(...) a_n, so
+    # the oracle never needs elimination; were a rank to fall back to it
+    # silently, this would raise
+    def no_elimination(rows, char):
+        raise AssertionError("a differential was ranked by elimination")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    presentations = [build_quiver(f.surface) for f in builtin_fixtures()]
+    presentations += [build_quiver(build_surface(d)) for n in range(4, 9)
+                      for d in generate_polygon_triangulations(n)]
+    presentations.append(build_quiver(random_polygon(60, 11)))
+    for vertices, arrows, relations in loop_quivers(44, seed=0):
+        p, full = (GentlePresentation(Quiver(vertices, arrows), (), relations)
+                   for _ in range(2))
+        full.periodic = False  # every degree built and ranked
+        presentations += [p, full]
+    assert len(presentations) == 5 + 195 + 1 + 88
+    for p in presentations:
+        complex_ = build_complex(p, 13)
+        for char in CHARS:
+            hh_dims_oracle(complex_, char)

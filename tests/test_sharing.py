@@ -13,6 +13,7 @@ from gentlehh import (build_complex, build_quiver, build_surface, cli, fixture_b
                       generate_polygon_triangulations, hh_dims_oracle, hh_dims_rr,
                       rr_sets)
 from gentlehh import cochain as cochain_module
+from gentlehh import pairs as pairs_module
 from gentlehh import quiver as quiver_module
 from gentlehh import report as report_module
 
@@ -61,6 +62,28 @@ def test_one_complex_per_nmax():
     assert build_complex(p, 13) is complex_
     assert build_complex(p, 60) is not complex_
     assert build_complex(p, 60) is build_complex(p, 60)
+
+
+def test_one_build_serves_every_nmax_that_uses_the_period(monkeypatch):
+    # torus-T1 repeats from degree 2 on, so nmax 13 and 60 read the same
+    # built degrees: one complex and one set of rr counts between them
+    surface = fixture_by_name("torus-T1").surface
+    expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char),
+                               hh_dims_rr(fresh, char, nmax))
+                for nmax in (13, 60) for char in (0, 2, 3)
+                for fresh in [build_quiver(surface._replace())]}
+    checks = counting(monkeypatch, cochain_module, "verify_complex_property")
+    families = counting(monkeypatch, pairs_module, "rr_sets")
+    p = build_quiver(surface)
+    complex13, complex60 = build_complex(p, 13), build_complex(p, 60)
+    assert (complex13.top_degree, complex60.top_degree) == (14, 61)
+    assert complex13.bases is complex60.bases
+    assert complex13.differentials is complex60.differentials
+    for nmax, char in expected:
+        assert (hh_dims_oracle(build_complex(p, nmax), char),
+                hh_dims_rr(p, char, nmax)) == expected[nmax, char], (nmax, char)
+    assert len(checks) == 1
+    assert [n for _, n in families] == list(range(6))
 
 
 def test_cached_objects_serve_every_characteristic():
