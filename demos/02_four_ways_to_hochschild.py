@@ -32,18 +32,20 @@ NMAX = 13
 # The cochain complex is assembled once over the integers, with sparse
 # differentials; only its ranks depend on the characteristic.  Its zero
 # paths repeat with one more turn around a triangle every three degrees,
-# so one verified period is built and the later degrees reuse it.
+# so one verified period is built and the later degrees reuse it.  The
+# presentation keeps this one build, and the oracle reads HH^0..HH^NMAX
+# off it for whatever NMAX it is given.
 complex_ = build_complex(presentation, NMAX)
-print("cochain complex: degrees 0..%d of 0..%d built (period %d), "
+print("cochain complex: degrees 0..%d built for degrees 0..%d (period %d), "
       "%d cochains, %d nonzero differential entries"
-      % (len(complex_.bases) - 1, complex_.top_degree, complex_.period,
+      % (len(complex_.bases) - 1, NMAX + 1, complex_.period,
          sum(len(basis) for basis in complex_.bases),
          sum(len(row) for matrix in complex_.differentials[1:] for row in matrix)))
 print()
 for char in (0, 2):
     geometric = hh_dims_geometric(surface, char, NMAX)
     pair_counts = hh_dims_rr(presentation, char, NMAX)
-    oracle = hh_dims_oracle(complex_, char)
+    oracle = hh_dims_oracle(complex_, char, NMAX)
     ladkani = hh_dims_ladkani(ag_invariant(surface),
                               len(presentation.quiver.vertices),
                               len(presentation.quiver.arrows), char, NMAX)

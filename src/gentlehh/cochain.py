@@ -36,14 +36,14 @@ on the bases it built, D_{n+3} = D_n mod 2 and D_9 == D_3, and every
 later degree reuses the basis size and the rank of the built degree
 congruent to it mod 6.  In characteristic 2 the ranks of D_3..D_5 serve
 D_6..D_8 too, since a rank over GF(2) reads the entries mod 2 only.
-Presentations whose zero paths do not repeat are built up to nmax + 1 by
-the same loop.
+Presentations whose zero paths do not repeat, and every nmax below
+BUILT_TOP - 1, are built up to nmax + 1 by the same loop.
 """
 
 from typing import NamedTuple
 
-from .linalg import check_characteristic, nullity, rank
-# unused here, but bench/tracer.py wraps gentlehh.cochain.ap_paths by name
+# nullity and ap_paths are unused here, but bench/tracer.py wraps them by name
+from .linalg import check_characteristic, nullity, rank  # noqa: F401
 from .pairs import HHTable, ap_paths  # noqa: F401
 from .quiver import GentlePresentation
 
@@ -52,53 +52,45 @@ BUILT_TOP = PERIOD_START + PERIOD  # one period, plus D_9 to check against D_3
 
 
 class CochainComplex(NamedTuple):
-    """Bases and sparse integer differentials of degrees 0..top_degree.
+    """Bases and sparse integer differentials of the degrees built.
 
     All tuples, shared and never changed.  ``bases[n]`` is the
     presentation's degree-n parallel pairs; ``differentials[n]``
     (1-indexed) is D_n, one row per pair of bases[n], each row the
     (column, value) pairs with nonzero values and increasing columns,
-    indexing bases[n-1].  Both hold the built degrees; with a nonzero
-    ``period`` they stop at BUILT_TOP and every degree n past them repeats
-    the built degree PERIOD_START + (n - PERIOD_START) % period.
+    indexing bases[n-1].  With a nonzero ``period`` both stop at
+    BUILT_TOP and every degree n past them repeats the built degree
+    PERIOD_START + (n - PERIOD_START) % period; without one they serve
+    every nmax up to len(bases) - 2.
     """
 
     bases: tuple
     differentials: tuple
-    top_degree: int
     period: int = 0
 
 
 def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex:
-    """Assemble bases and differentials up to degree nmax + 1, building
-    degrees 0..BUILT_TOP only when the presentation's zero paths repeat.
+    """A complex that serves nmax: degrees 0..BUILT_TOP with the period
+    when nmax + 1 reaches BUILT_TOP and the zero paths repeat, else
+    degrees 0..nmax + 1.  D_{n+1} D_n = 0 is asserted over the integers on
+    every build, and the period on every build that uses it; basis
+    enumeration may raise :class:`InfiniteDimensionalError`.
 
-    Propagates :class:`InfiniteDimensionalError` from basis enumeration.
-    The complex property D_{n+1} D_n = 0 is asserted over the integers on
-    every build, and the period on every build that uses it.
-
-    The complex holds no characteristic, so it is built once per
-    presentation and built range and cached in ``presentation.complexes``,
-    keyed by the top degree built and the period: (BUILT_TOP, PERIOD) for
-    every nmax that uses the period, (nmax + 1, 0) otherwise.  A call at
-    another nmax gets the same bases and differentials under its own
-    ``top_degree``, which the cache then holds; a failed check caches
-    nothing.  :func:`build_quiver` hands the same presentation back only
-    for the same surface object, which is immutable, so a cached complex
-    always belongs to its quiver.  Its bases are the presentation's
-    levels, not copies.
+    The presentation keeps one build, in ``presentation.complex``: the one
+    for the largest nmax asked so far.  It is handed back while it has a
+    period or holds degrees 0..nmax + 1, a larger nmax replaces it, and a
+    failed check keeps nothing.  :func:`build_quiver` shares a
+    presentation only for the same surface object, which is immutable, so
+    the kept complex always belongs to its quiver.  Its bases are the
+    presentation's levels, not copies.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    top = nmax + 1
-    period = PERIOD if top > BUILT_TOP and presentation.periodic else 0
-    built = BUILT_TOP if period else top
-    complex_ = presentation.complexes.get((built, period))
-    if complex_ is not None:
-        if complex_.top_degree != top:
-            complex_ = presentation.complexes[built, period] = \
-                complex_._replace(top_degree=top)
+    complex_ = presentation.complex
+    if complex_ is not None and (complex_.period or len(complex_.bases) > nmax + 1):
         return complex_
+    period = PERIOD if nmax + 1 >= BUILT_TOP and presentation.periodic else 0
+    built = BUILT_TOP if period else nmax + 1
     arrows = presentation.quiver.arrows
     bases = []
     differentials = [None]
@@ -140,11 +132,11 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
         differentials.append(tuple(matrix))
 
     complex_ = CochainComplex(bases=tuple(bases), differentials=tuple(differentials),
-                              top_degree=top, period=period)
+                              period=period)
     verify_complex_property(complex_)
     if period:
         verify_period(presentation, complex_)
-    presentation.complexes[built, period] = complex_
+    presentation.complex = complex_
     return complex_
 
 
@@ -191,29 +183,34 @@ def verify_complex_property(complex_: CochainComplex):
                         "D_%d . D_%d is nonzero at (%d, %d)" % (n + 1, n, row, col))
 
 
-def hh_dims_oracle(complex_: CochainComplex, characteristic: int) -> HHTable:
-    """Cohomology dimensions of an assembled complex over Q
-    (characteristic 0) or GF(characteristic).
+def hh_dims_oracle(complex_: CochainComplex, characteristic: int,
+                   nmax: int) -> HHTable:
+    """HH^0..HH^nmax of an assembled complex over Q (characteristic 0) or
+    GF(characteristic).
 
     HH^0 is the kernel dimension of D_1 and HH^n the kernel of D_{n+1}
-    minus the rank of D_n; every rank is exact, counted on the signed
-    graph of D_n, once per built degree, and in characteristic 2 once per
-    degree mod 3 from PERIOD_START on when the complex is periodic
-    (D_{n+3} = D_n mod 2 is verified, and bases[n + 3] has the size of
-    bases[n]).
+    minus the rank of D_n.  Each of D_1..D_{nmax+1} is ranked at most
+    once, exactly, on its signed graph; with a period, a degree past one
+    period reads the ranked degree congruent to it, and in characteristic
+    2 that period is 3 (D_{n+3} = D_n mod 2 is verified).  A complex
+    without a period must hold degrees 0..nmax + 1, else ValueError; the
+    first degrees of a larger one serve.
     """
     check_characteristic(characteristic)
-    bases, differentials = complex_.bases, complex_.differentials
-    top, period = complex_.top_degree, complex_.period
+    if nmax < 1:
+        raise ValueError("nmax must be at least 1")
+    bases, differentials, period = complex_.bases, complex_.differentials, complex_.period
+    if not period and len(bases) < nmax + 2:
+        raise ValueError("the complex does not hold D_%d for nmax %d" % (nmax + 1, nmax))
     if period and characteristic == 2:
         period = 3
     # ranked: degrees 0..last; past last, degree n reads the ranked degree
     # congruent to it mod period from PERIOD_START on
-    last = PERIOD_START + period - 1 if period else top
+    top = nmax + 1
+    last = min(top, PERIOD_START + period - 1) if period else top
     degree = list(range(last + 1)) + [PERIOD_START + (n - PERIOD_START) % period
                                       for n in range(last + 1, top + 1)]
-    ranks = [0, len(bases[0]) - nullity(differentials[1], len(bases[0]), characteristic)]
-    ranks += [rank(differentials[m], characteristic) for m in range(2, last + 1)]
+    ranks = [0] + [rank(differentials[m], characteristic) for m in range(1, last + 1)]
     dims = [len(bases[degree[n]]) - ranks[degree[n + 1]] - ranks[degree[n]]
             for n in range(top)]
     return HHTable(dims=tuple(dims), tail_note="exact kernel/rank computation")

@@ -218,15 +218,16 @@ class RRCounts(NamedTuple):
 
 
 def _rr_counts(presentation: GentlePresentation, nmax: int) -> RRCounts:
-    """The rr counts of degrees 0..nmax, or of 0..RR_BUILT_TOP when the
-    period serves nmax, with the connectivity check and the period check.
-    Built once per presentation and enumerated range, and cached keyed by
-    the top degree enumerated and whether the period is used; a failed
-    check caches nothing."""
-    periodic = nmax > RR_BUILT_TOP and presentation.periodic
+    """Counts that serve nmax: of degrees 0..RR_BUILT_TOP with the period
+    when nmax reaches it and the zero paths repeat, else of 0..nmax, with
+    the connectivity and period checks.  The presentation keeps one
+    record, like its complex (:func:`cochain.build_complex`); a failed
+    check keeps nothing."""
+    counts = presentation.rr_counts
+    if counts is not None and (counts.periodic or len(counts.degrees) > nmax):
+        return counts
+    periodic = nmax >= RR_BUILT_TOP and presentation.periodic
     built = RR_BUILT_TOP if periodic else nmax
-    if (built, periodic) in presentation.rr_counts:
-        return presentation.rr_counts[built, periodic]
     quiver = presentation.quiver
     unreached = _unreachable_vertex(quiver)
     if unreached is not None:
@@ -239,7 +240,7 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> RRCounts:
     if periodic and degrees[RR_BUILT_TOP] != degrees[RR_BUILT_TOP - 3]:
         raise AssertionError("rr counts of degree %d differ from degree %d"
                              % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
-    counts = presentation.rr_counts[built, periodic] = RRCounts(
+    counts = presentation.rr_counts = RRCounts(
         set_a=len(families[0].set_a), loop_pairs=len(families[1].loop_pairs),
         degrees=tuple(degrees), periodic=periodic)
     return counts
@@ -257,12 +258,12 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     the tail note says so.  The formulas hold for a connected quiver only,
     so one with a vertex unreachable from vertex 0 is a ValueError.
 
-    The counts do not depend on the characteristic: they are cached in
-    ``presentation.rr_counts``, one entry for every nmax that uses the
-    period, and only the extension by the period and the weighted sum run
-    per call.  :func:`build_quiver` hands the same presentation back
-    only for the same surface object, which is immutable, so the cached
-    counts always belong to the quiver they are read with.
+    The counts depend on neither the characteristic nor nmax: only the
+    extension by the period and the weighted sum run per call, on the
+    record ``presentation.rr_counts`` keeps.  The tail note names the
+    period only past RR_BUILT_TOP, where it is read.  :func:`build_quiver`
+    hands the same presentation back only for the same surface object, so
+    the kept counts always belong to the quiver they are read with.
     """
     check_characteristic(characteristic)
     if nmax < 1:
@@ -283,5 +284,6 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
         zero_zero, empty_incomplete, orbits = degrees[n]
         dims.append(zero_zero + empty_incomplete + a * orbits + b * degrees[n - 1][2])
     tail_note = ("degrees 0..%d enumerated, then period 3" % RR_BUILT_TOP
-                 if counts.periodic else "computed degree by degree")
+                 if counts.periodic and nmax > RR_BUILT_TOP
+                 else "computed degree by degree")
     return HHTable(dims=tuple(dims), tail_note=tail_note)

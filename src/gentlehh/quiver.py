@@ -100,12 +100,12 @@ class GentlePresentation:
     extended from AP_{n-1}), ``basis``, ``parallel`` (the tuples of basis
     paths by (source, target), in basis order), the parallel-pair levels and
     ``periodic`` (whether the levels repeat under :meth:`shift`).
-    ``complexes`` and ``rr_counts``, keyed by the degrees built, hold what
-    :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr` derive from it,
-    each checked once when built, so every nmax that uses the period
-    shares one entry.  Nothing cached holds a characteristic, so
-    one presentation serves every characteristic; it changes only by filling
-    these caches.
+    ``complex`` and ``rr_counts`` keep the one build each of
+    :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr` for the
+    largest nmax asked so far, checked when built; every smaller nmax reads
+    its first degrees.  Nothing kept holds a characteristic or an nmax, so
+    one presentation serves every characteristic; it changes only by
+    filling these caches or replacing a kept build by a larger one.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
@@ -121,8 +121,8 @@ class GentlePresentation:
                 raise ValueError("relation %d,%d is not a composable pair" % (first, second))
         self._zero_paths = []
         self._parallel_pairs = []
-        self.complexes = {}
-        self.rr_counts = {}
+        self.complex = None
+        self.rr_counts = None
         self.loops = tuple(a for a in quiver.arrows if a.source == a.target)
         self.loop_pairs = tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
                                 for a in self.loops)

@@ -73,7 +73,7 @@ def compute_tables(surface: TriangulatedSurface, characteristic: int,
         tables["rr"] = hh_dims_rr(presentation, characteristic, nmax)
     if "oracle" in methods:
         complex_ = build_complex(presentation, nmax)
-        tables["oracle"] = hh_dims_oracle(complex_, characteristic)
+        tables["oracle"] = hh_dims_oracle(complex_, characteristic, nmax)
     if "ladkani" in methods:
         tables["ladkani"] = hh_dims_ladkani(
             ag_invariant(surface), len(presentation.quiver.vertices),

@@ -64,7 +64,7 @@ def products(corpus):
             tables = {
                 "geometric": g.hh_dims_geometric(surface, char, NMAX).table,
                 "rr": g.hh_dims_rr(presentation, char, NMAX),
-                "oracle": g.hh_dims_oracle(complex_, char),
+                "oracle": g.hh_dims_oracle(complex_, char, NMAX),
                 "ladkani": g.hh_dims_ladkani(
                     invariant, len(presentation.quiver.vertices),
                     len(presentation.quiver.arrows), char, NMAX),
@@ -299,7 +299,7 @@ def test_criterion_7_annulus_anchor():
     failures = []
     surface = g.fixture_by_name("annulus(1,1)").surface
     pres = g.build_quiver(surface)
-    table = g.hh_dims_oracle(g.build_complex(pres, 6), 0)
+    table = g.hh_dims_oracle(g.build_complex(pres, 6), 0, 6)
     check(failures, table.dims[0] == 1, "oracle HH^0 = %d" % table.dims[0])
     check(failures, table.dims[1] == 3, "oracle HH^1 = %d" % table.dims[1])
     b1 = sum(1 for p in g.classify_boundaries(surface) if p.type_tag == "type1")

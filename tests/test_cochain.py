@@ -166,9 +166,25 @@ def test_rows_with_three_entries_are_eliminated(monkeypatch):
 def test_oracle_characteristic_validation():
     complex_ = build_complex(presentation_for("fig8"), 3)
     for char in (0, 2, 13):
-        hh_dims_oracle(complex_, char)
+        hh_dims_oracle(complex_, char, 3)
     with pytest.raises(ValueError):
-        hh_dims_oracle(complex_, 9)
+        hh_dims_oracle(complex_, 9, 3)
+
+
+def test_oracle_rejects_an_nmax_the_complex_cannot_serve():
+    # without a period the complex serves nmax up to its top degree - 1,
+    # each from its first degrees; with one it serves every nmax
+    p = presentation_for("fig8")
+    short = build_complex(p, 3)
+    assert short.period == 0 and len(short.bases) == 5
+    assert hh_dims_oracle(short, 0, 2).dims == hh_dims_oracle(short, 0, 3).dims[:3]
+    for nmax in (0, 4):
+        with pytest.raises(ValueError, match="nmax"):
+            hh_dims_oracle(short, 0, nmax)
+    periodic = build_complex(p, 60)
+    assert periodic.period and len(hh_dims_oracle(periodic, 2, 1).dims) == 2
+    with pytest.raises(ValueError, match="nmax"):
+        hh_dims_oracle(periodic, 2, 0)
 
 
 def test_square_disc_complex_is_tiny():
@@ -176,7 +192,7 @@ def test_square_disc_complex_is_tiny():
     complex_ = build_complex(p, 5)
     assert len(complex_.bases[0]) == 1  # just (e, e)
     assert all(len(complex_.bases[n]) == 0 for n in range(1, 6))
-    assert list(hh_dims_oracle(complex_, 0).dims) == [1, 0, 0, 0, 0, 0]
+    assert list(hh_dims_oracle(complex_, 0, 5).dims) == [1, 0, 0, 0, 0, 0]
 
 
 def test_fig8_complex_property_both_fields():
@@ -196,15 +212,15 @@ def test_fig8_degree3_basis_contains_the_cycle_pairs():
 def test_fig8_oracle_tables():
     p = presentation_for("fig8")
     complex_ = build_complex(p, 13)
-    t0 = hh_dims_oracle(complex_, 0)
+    t0 = hh_dims_oracle(complex_, 0, 13)
     assert list(t0.dims) == [2, 7, 0, 0, 0, 0, 3, 3, 0, 0, 0, 0, 3, 3]
-    t2 = hh_dims_oracle(complex_, 2)
+    t2 = hh_dims_oracle(complex_, 2, 13)
     assert list(t2.dims) == [2, 7, 0, 3, 3, 0, 3, 3, 0, 3, 3, 0, 3, 3]
 
 
 def test_annulus_oracle_anchor():
     p = presentation_for("annulus(1,1)")
-    table = hh_dims_oracle(build_complex(p, 6), 0)
+    table = hh_dims_oracle(build_complex(p, 6), 0, 6)
     assert table.dims[0] == 1
     assert table.dims[1] == 3
     assert all(d == 0 for d in table.dims[2:])
@@ -215,8 +231,8 @@ def test_torus_pair_identical_oracle_tables():
     p2 = presentation_for("torus-T2")
     c1, c2 = build_complex(p1, 13), build_complex(p2, 13)
     for char in (0, 2):
-        t1 = hh_dims_oracle(c1, char)
-        t2 = hh_dims_oracle(c2, char)
+        t1 = hh_dims_oracle(c1, char, 13)
+        t2 = hh_dims_oracle(c2, char, 13)
         assert t1.dims == t2.dims
 
 
@@ -283,7 +299,7 @@ def test_hh0_is_the_centre_dimension():
                            ("fig8", 2), ("torus-T1", 1), ("torus-T2", 1)):
         p = presentation_for(name)
         assert center_dimension(p) == expected
-        oracle = hh_dims_oracle(build_complex(p, 2), 0)
+        oracle = hh_dims_oracle(build_complex(p, 2), 0, 2)
         assert oracle.dims[0] == expected
 
 
@@ -296,7 +312,7 @@ def replaced(levels, i, value):
 def test_perturbed_differential_fails_the_complex_check(name):
     complex_ = build_complex(presentation_for(name), 6)
     # the first D_n entry that some row of D_{n+1} multiplies into
-    n, k = next((n, k) for n in range(1, complex_.top_degree)
+    n, k = next((n, k) for n in range(1, len(complex_.differentials) - 1)
                 for k, row in enumerate(complex_.differentials[n])
                 if row and any(col == k for entries in complex_.differentials[n + 1]
                                for col, _ in entries))

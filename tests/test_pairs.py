@@ -148,7 +148,7 @@ def test_rr_rejects_a_disconnected_quiver(vertices, ends, nmax, unreached, oracl
     p = GentlePresentation(Quiver(vertices, arrows))
     with pytest.raises(ValueError, match="vertex %s is not reachable" % unreached):
         hh_dims_rr(p, 0, nmax)
-    assert hh_dims_oracle(build_complex(p, nmax), 0).dims == oracle
+    assert hh_dims_oracle(build_complex(p, nmax), 0, nmax).dims == oracle
 
 
 # Brute-force references: AP_n rebuilt from scratch for every degree, the

@@ -1,13 +1,17 @@
 """One presentation, one complex and one set of rr counts per surface.
 
 build_quiver hands back its last presentation for the same surface
-object, and the complex and the rr counts are cached on that
-presentation, so crosscheck's char 0 and char 2 analyses of a surface
-share everything that does not depend on the characteristic.
+object, and that presentation keeps one complex and one set of rr
+counts, built for the largest nmax asked so far, so crosscheck's char 0
+and char 2 analyses of a surface share everything that does not depend
+on the characteristic, and a smaller nmax reads the kept build.
 """
 
 import gc
 import weakref
+
+from test_periodicity import (chain_presentation, reference_complex, reference_oracle,
+                              reference_rr)
 
 from gentlehh import (build_complex, build_quiver, build_surface, cli, fixture_by_name,
                       generate_polygon_triangulations, hh_dims_oracle, hh_dims_rr,
@@ -56,34 +60,59 @@ def test_a_replaced_presentation_is_released():
     assert ref() is None
 
 
-def test_one_complex_per_nmax():
-    p = build_quiver(fixture_by_name("torus-T1").surface)
-    complex_ = build_complex(p, 13)
-    assert build_complex(p, 13) is complex_
-    assert build_complex(p, 60) is not complex_
-    assert build_complex(p, 60) is build_complex(p, 60)
-
-
 def test_one_build_serves_every_nmax_that_uses_the_period(monkeypatch):
-    # torus-T1 repeats from degree 2 on, so nmax 13 and 60 read the same
-    # built degrees: one complex and one set of rr counts between them
+    # torus-T1 repeats from degree 2 on, so the complex built for nmax 60
+    # and its rr counts serve every smaller nmax too: asked largest first,
+    # the presentation builds and checks each once
     surface = fixture_by_name("torus-T1").surface
-    expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char),
+    order = (60, 13, 8, 5, 4)
+    expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char, nmax),
                                hh_dims_rr(fresh, char, nmax))
-                for nmax in (13, 60) for char in (0, 2, 3)
+                for nmax in order for char in (0, 2, 3)
                 for fresh in [build_quiver(surface._replace())]}
     checks = counting(monkeypatch, cochain_module, "verify_complex_property")
+    periods = counting(monkeypatch, cochain_module, "verify_period")
     families = counting(monkeypatch, pairs_module, "rr_sets")
     p = build_quiver(surface)
-    complex13, complex60 = build_complex(p, 13), build_complex(p, 60)
-    assert (complex13.top_degree, complex60.top_degree) == (14, 61)
-    assert complex13.bases is complex60.bases
-    assert complex13.differentials is complex60.differentials
-    for nmax, char in expected:
-        assert (hh_dims_oracle(build_complex(p, nmax), char),
-                hh_dims_rr(p, char, nmax)) == expected[nmax, char], (nmax, char)
-    assert len(checks) == 1
+    kept = build_complex(p, 60)
+    for nmax in order:
+        assert build_complex(p, nmax) is kept is p.complex, nmax
+        for char in (0, 2, 3):
+            assert (hh_dims_oracle(kept, char, nmax),
+                    hh_dims_rr(p, char, nmax)) == expected[nmax, char], (nmax, char)
+    assert len(checks) == len(periods) == 1
     assert [n for _, n in families] == list(range(6))
+
+
+def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
+    # nmax 8 already reaches degree BUILT_TOP, so it builds the periodic
+    # complex that nmax 13 reads
+    p = build_quiver(fixture_by_name("torus-T1").surface)
+    assert build_complex(p, 8) is build_complex(p, 13)
+    assert build_complex(p, 8).period
+    # likewise nmax 5 reaches RR_BUILT_TOP and enumerates the rr period
+    families = counting(monkeypatch, pairs_module, "rr_sets")
+    for nmax in (5, 13):
+        hh_dims_rr(p, 0, nmax)
+    assert [n for _, n in families] == list(range(6))
+
+    # without a period a larger nmax builds anew and a smaller one reads
+    # the first degrees of the kept build
+    checks = counting(monkeypatch, cochain_module, "verify_complex_property")
+    del families[:]
+    p, reference = chain_presentation(4), chain_presentation(4)
+    built = {}
+    for nmax in (30, 10, 40):
+        built[nmax] = build_complex(p, nmax)
+        for char in (0, 2):
+            assert (hh_dims_oracle(built[nmax], char, nmax).dims
+                    == reference_oracle(*reference_complex(reference, nmax), char)), nmax
+            assert hh_dims_rr(p, char, nmax).dims == reference_rr(reference, char, nmax)
+    assert build_complex(p, 35) is built[40] is p.complex
+    assert len(checks) == 2
+    assert built[10] is built[30] is not built[40]
+    assert [len(b.bases) for b in built.values()] == [32, 32, 42]
+    assert [n for _, n in families] == list(range(31)) + list(range(41))
 
 
 def test_cached_objects_serve_every_characteristic():
@@ -98,8 +127,8 @@ def test_cached_objects_serve_every_characteristic():
             expected[nmax, char], (nmax, char)
     p = build_quiver(surface)
     assert hh_dims_rr(p, 0, 13).dims != hh_dims_rr(p, 2, 13).dims
-    assert (hh_dims_oracle(build_complex(p, 13), 0).dims
-            != hh_dims_oracle(build_complex(p, 13), 2).dims)
+    assert (hh_dims_oracle(build_complex(p, 13), 0, 13).dims
+            != hh_dims_oracle(build_complex(p, 13), 2, 13).dims)
 
 
 def test_levels_are_shared_tuples():
