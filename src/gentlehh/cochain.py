@@ -12,14 +12,14 @@ with the degree-1 case reading f on trivial paths on both sides.  Written
 this way the composite of consecutive differentials vanishes identically
 over the integers, which the builder verifies.
 
-The complex is assembled once, over the integers and independent of the
-characteristic, with sparse differentials: the row of a pair (rho, delta)
-has at most two entries, found by dict lookup and written straight out
-(one entry 1 + sign when both land in one column).  The characteristic enters
-only in :func:`hh_dims_oracle`, at the rank step.  A row is empty, one
-entry (1, +-1 or 2) or the two entries 1 and +-1, so each D_n is the
-incidence matrix of a signed graph on the degree-(n-1) cochains, which
-:func:`linalg.rank` ranks by a union-find count, without elimination.
+The complex is assembled once, over the integers, with sparse
+differentials: the row of a pair (rho, delta) is empty, one entry (1, +-1,
+or 2 = 1 + sign when both terms land in one column) or the two entries 1
+and +-1, found by dict lookup.  So each D_n is the incidence matrix of a
+signed graph, and the builder keeps its :func:`linalg.signed_form`: its
+rank over Q and its Smith divisors 2, every other divisor being 1.  The
+characteristic enters only in :func:`hh_dims_oracle`, in one subtraction:
+over GF(2) a rank drops by the 2s, over GF(p), p odd, it is the rank over Q.
 
 Only one verified period is built.  When the presentation's zero paths
 repeat (``GentlePresentation.periodic``: AP_{n+3} is AP_n with one more
@@ -33,17 +33,16 @@ rotated.  So D_{n+3} is D_n with the sign of the head term flipped, and
 D_{n+6} = D_n for n >= 3 (and D_{n+3} = D_n mod 2).
 :func:`build_complex` then builds degrees 0..9 only, checks the shift
 on the bases it built, D_{n+3} = D_n mod 2 and D_9 == D_3, and every
-later degree reuses the basis size and the rank of the built degree
-congruent to it mod 6.  In characteristic 2 the ranks of D_3..D_5 serve
-D_6..D_8 too, since a rank over GF(2) reads the entries mod 2 only.
-Presentations whose zero paths do not repeat, and every nmax below
-BUILT_TOP - 1, are built up to nmax + 1 by the same loop.
+later degree, over every field, reuses the basis size and the form of
+the built degree congruent to it mod 6.  Presentations whose zero paths
+do not repeat, and every nmax below BUILT_TOP - 1, are built up to
+nmax + 1 by the same loop.
 """
 
 from typing import NamedTuple
 
-# nullity and ap_paths are unused here, but bench/tracer.py wraps them by name
-from .linalg import check_characteristic, nullity, rank  # noqa: F401
+# nullity, rank and ap_paths are unused here, but bench/tracer.py wraps them by name
+from .linalg import check_characteristic, nullity, rank, signed_form  # noqa: F401
 from .pairs import HHTable, ap_paths  # noqa: F401
 from .quiver import GentlePresentation
 
@@ -52,20 +51,24 @@ BUILT_TOP = PERIOD_START + PERIOD  # one period, plus D_9 to check against D_3
 
 
 class CochainComplex(NamedTuple):
-    """Bases and sparse integer differentials of the degrees built.
+    """Bases, sparse integer differentials and their integral forms of the
+    degrees built.
 
     All tuples, shared and never changed.  ``bases[n]`` is the
     presentation's degree-n parallel pairs; ``differentials[n]``
     (1-indexed) is D_n, one row per pair of bases[n], each row the
     (column, value) pairs with nonzero values and increasing columns,
-    indexing bases[n-1].  With a nonzero ``period`` both stop at
-    BUILT_TOP and every degree n past them repeats the built degree
-    PERIOD_START + (n - PERIOD_START) % period; without one they serve
-    every nmax up to len(bases) - 2.
+    indexing bases[n-1]; ``forms[n]`` is the :func:`linalg.signed_form`
+    of D_n, (0, 0) for the zero map D_0, for every D_n the oracle reads.
+    With a nonzero ``period`` bases and differentials stop at BUILT_TOP,
+    forms one below, and every degree n past them repeats the built
+    degree PERIOD_START + (n - PERIOD_START) % period; without one all
+    three serve every nmax up to len(bases) - 2.
     """
 
     bases: tuple
     differentials: tuple
+    forms: tuple
     period: int = 0
 
 
@@ -73,28 +76,30 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     """A complex that serves nmax: degrees 0..BUILT_TOP with the period
     when nmax + 1 reaches BUILT_TOP and the zero paths repeat, else
     degrees 0..nmax + 1.  D_{n+1} D_n = 0 is asserted over the integers on
-    every build, and the period on every build that uses it; basis
+    every degree built, and the period on every build that uses it; basis
     enumeration may raise :class:`InfiniteDimensionalError`.
 
     The presentation keeps one build, in ``presentation.complex``: the one
     for the largest nmax asked so far.  It is handed back while it has a
-    period or holds degrees 0..nmax + 1, a larger nmax replaces it, and a
-    failed check keeps nothing.  :func:`build_quiver` shares a
-    presentation only for the same surface object, which is immutable, so
-    the kept complex always belongs to its quiver.  Its bases are the
-    presentation's levels, not copies.
+    period or holds degrees 0..nmax + 1; a larger nmax extends it from its
+    last degree, assembling, checking and forming the new degrees only,
+    and a failed check keeps the build as it was.  :func:`build_quiver`
+    shares a presentation only for the same surface object, which is
+    immutable, so the kept complex always belongs to its quiver.  Its
+    bases are the presentation's levels, not copies.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    complex_ = presentation.complex
-    if complex_ is not None and (complex_.period or len(complex_.bases) > nmax + 1):
-        return complex_
+    kept = presentation.complex
+    if kept is not None and (kept.period or len(kept.bases) > nmax + 1):
+        return kept
     period = PERIOD if nmax + 1 >= BUILT_TOP and presentation.periodic else 0
     built = BUILT_TOP if period else nmax + 1
+    bases, differentials, forms = (map(list, (kept.bases, kept.differentials, kept.forms))
+                                   if kept else ([], [None], [(0, 0)]))
+    start = len(bases)
     arrows = presentation.quiver.arrows
-    bases = []
-    differentials = [None]
-    for n in range(built + 1):
+    for n in range(start, built + 1):
         bases.append(presentation.parallel_pairs(n))
         if n == 0:
             continue
@@ -130,10 +135,15 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
             else:
                 matrix.append(((head_col, sign), (tail_col, 1)))
         differentials.append(tuple(matrix))
+    # the oracle reads D_1..D_8 of a period; D_9 is checked against D_3 instead
+    for rows in differentials[len(forms):len(differentials) - bool(period)]:
+        forms.append(signed_form(rows))
+        if forms[-1] is None:
+            raise AssertionError("D_%d is not a signed graph" % (len(forms) - 1))
 
     complex_ = CochainComplex(bases=tuple(bases), differentials=tuple(differentials),
-                              period=period)
-    verify_complex_property(complex_)
+                              forms=tuple(forms), period=period)
+    verify_complex_property(complex_, max(1, start - 1))
     if period:
         verify_period(presentation, complex_)
     presentation.complex = complex_
@@ -167,10 +177,10 @@ def verify_period(presentation: GentlePresentation, complex_: CochainComplex):
         raise AssertionError("D_%d != D_%d" % (last, last - complex_.period))
 
 
-def verify_complex_property(complex_: CochainComplex):
-    """Check D_{n+1} . D_n = 0 over the integers for every built degree, in
-    time proportional to the number of nonzero products."""
-    for n in range(1, len(complex_.differentials) - 1):
+def verify_complex_property(complex_: CochainComplex, start: int = 1):
+    """Check D_{n+1} . D_n = 0 over the integers for every built degree
+    n >= start, in time proportional to the number of nonzero products."""
+    for n in range(start, len(complex_.differentials) - 1):
         d_n = complex_.differentials[n]
         for row, entries in enumerate(complex_.differentials[n + 1]):
             totals = {}
@@ -189,28 +199,22 @@ def hh_dims_oracle(complex_: CochainComplex, characteristic: int,
     GF(characteristic).
 
     HH^0 is the kernel dimension of D_1 and HH^n the kernel of D_{n+1}
-    minus the rank of D_n.  Each of D_1..D_{nmax+1} is ranked at most
-    once, exactly, on its signed graph; with a period, a degree past one
-    period reads the ranked degree congruent to it, and in characteristic
-    2 that period is 3 (D_{n+3} = D_n mod 2 is verified).  A complex
-    without a period must hold degrees 0..nmax + 1, else ValueError; the
-    first degrees of a larger one serve.
+    minus the rank of D_n, each rank read off the form of D_n: its rank
+    over Q, less its 2s in characteristic 2.  Nothing is ranked here.
+    With a period, a degree past the formed ones reads the formed degree
+    congruent to it mod 6, over every field.  A complex without a period
+    must hold degrees 0..nmax + 1, else ValueError; the first degrees of
+    a larger one serve.
     """
     check_characteristic(characteristic)
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    bases, differentials, period = complex_.bases, complex_.differentials, complex_.period
+    bases, forms, period = complex_.bases, complex_.forms, complex_.period
     if not period and len(bases) < nmax + 2:
         raise ValueError("the complex does not hold D_%d for nmax %d" % (nmax + 1, nmax))
-    if period and characteristic == 2:
-        period = 3
-    # ranked: degrees 0..last; past last, degree n reads the ranked degree
-    # congruent to it mod period from PERIOD_START on
-    top = nmax + 1
-    last = min(top, PERIOD_START + period - 1) if period else top
-    degree = list(range(last + 1)) + [PERIOD_START + (n - PERIOD_START) % period
-                                      for n in range(last + 1, top + 1)]
-    ranks = [0] + [rank(differentials[m], characteristic) for m in range(1, last + 1)]
+    ranks = [rank_q - twos if characteristic == 2 else rank_q for rank_q, twos in forms]
+    degree = [n if n < len(forms) else PERIOD_START + (n - PERIOD_START) % period
+              for n in range(nmax + 2)]
     dims = [len(bases[degree[n]]) - ranks[degree[n + 1]] - ranks[degree[n]]
-            for n in range(top)]
+            for n in range(nmax + 1)]
     return HHTable(dims=tuple(dims), tail_note="exact kernel/rank computation")

@@ -4,20 +4,22 @@ A matrix is a sequence of rows, each a sequence of (column, value) pairs
 with distinct columns and integer values; absent entries are zero.  The
 rows may be read twice, so a sequence, not an iterator.
 
-Two paths, both exact.  A matrix whose every row has at most two nonzero
-entries, two of equal or opposite value (mod p in characteristic p), is
-the incidence matrix of a signed graph on its columns: a two-entry row is
-an edge, positive when the values are opposite and negative when they are
-equal, and a one-entry row is a half-edge.  Its rank is the number of
-columns touched minus the number of components that are balanced (every
-cycle has an even number of negative edges) and have no half-edge
-(Zaslavsky, "Signed graphs", 1982), counted by :func:`_signed_rank` with a
-union-find.  In characteristic 2 every edge is positive.  Any other matrix
-goes to :func:`_eliminate`: Gaussian elimination that never leaves the
-integers, a row reduced by a cross-multiplied pivot row, then taken mod p
-in characteristic p, or divided by the gcd of its entries in
-characteristic 0.  Rows are taken in order and each pivots on its least
-column, so repeated runs eliminate identically.
+The kernel is characteristic-free.  A matrix whose every row is empty,
+one entry +-1 or +-2, or two entries +-1 is the incidence matrix of a
+signed graph on its columns: a two-entry row is an edge, positive when
+the values are opposite and negative when they are equal, and a one-entry
+row is a half-edge.  :func:`signed_form` reads its Smith form over the
+integers off a union-find, one component at a time (Zaslavsky, "Signed
+graphs", 1982): a component that is balanced (every cycle has an even
+number of negative edges) and has no half-edge gives |V| - 1 ones, one
+with a +-1 half-edge |V| ones, and any other |V| - 1 ones and one 2.  So
+the rank is the number of nonzero divisors over Q and over GF(p) for odd
+p, and the field enters in one subtraction: over GF(2) the 2s vanish.
+Any other matrix goes to :func:`_eliminate`: Gaussian elimination that
+never leaves the integers, a row reduced by a cross-multiplied pivot row,
+then taken mod p in characteristic p, or divided by the gcd of its
+entries in characteristic 0.  Rows are taken in order and each pivots on
+its least column, so repeated runs eliminate identically.
 """
 
 from functools import cache
@@ -51,26 +53,32 @@ def _normalise(row: dict, char: int) -> dict:
 
 
 def rank(rows, char: int) -> int:
-    """Rank of a sparse integer matrix over Q (char 0) or GF(char): by the
-    signed-graph count when every row has that shape, else by elimination."""
+    """Rank of a sparse integer matrix over Q (char 0) or GF(char): from
+    the signed-graph form when every row has that shape, else by
+    elimination."""
     check_characteristic(char)
-    found = _signed_rank(rows, char)
-    return _eliminate(rows, char) if found is None else found
+    form = signed_form(rows)
+    if form is None:
+        return _eliminate(rows, char)
+    rank_q, twos = form
+    return rank_q - twos if char == 2 else rank_q
 
 
-def _signed_rank(rows, char: int) -> int | None:
-    """The rank of a signed-graph incidence matrix, or None as soon as a
-    row has more than two nonzero entries or two of different magnitude.
+def signed_form(rows) -> tuple[int, int] | None:
+    """(rank over Q, number of elementary divisors 2) of a signed-graph
+    incidence matrix, whose other nonzero divisors are all 1, or None as
+    soon as a row has another shape.
 
-    The rank is counted row by row, as the drop in the kernel's dimension.
-    The kernel of a component is the line x_i = +-x_root, read along its
-    edges, when the component is balanced and has no half-edge, and zero
-    otherwise (the component is "full").  So a row adds 1 when it joins
-    two components that are not both full, or when it makes a component
-    full: a half-edge, or an edge closing an unbalanced cycle.
+    Both are counted row by row.  The kernel of a component is the line
+    x_i = +-x_root, read along its edges, when the component is balanced
+    and has no half-edge ("open"), and zero otherwise ("full"); a full
+    component holds a 2 unless it has a +-1 half-edge.  So a row adds 1
+    to the rank when it joins two components that are not both full, or
+    makes an open component full: a half-edge, or an edge closing an
+    unbalanced cycle.
     """
     link = {}  # column -> (parent column, 1 if their kernel values are opposite)
-    full = set()  # roots of full components
+    kind = {}  # root of a full component -> 1 with a +-1 half-edge, else 2 (open: 3)
     found = 0
 
     def find(col):
@@ -91,50 +99,36 @@ def _signed_rank(rows, char: int) -> int | None:
         return col, flip
 
     for entries in rows:
-        if len(entries) > 2:
-            entries = [(col, value) for col, value in entries
-                       if (value % char if char else value)]
-            if len(entries) > 2:
-                return None
         if len(entries) == 2:
             (i, a), (j, b) = entries
-            if char:
-                a, b = a % char, b % char
-            if a and b:
-                # x_i = -(b / a) x_j in the kernel
-                if a + b == char:
-                    odd = 0
-                elif a == b:
-                    odd = 1
-                else:
-                    return None
-                root_i, flip_i = find(i)
-                root_j, flip_j = find(j)
-                if root_i != root_j:
-                    if root_i in full:
-                        if root_j in full:
-                            continue
-                        full.add(root_j)
-                    link[root_i] = (root_j, flip_i ^ flip_j ^ odd)
-                    found += 1
-                elif flip_i ^ flip_j != odd and root_i not in full:
-                    full.add(root_i)
-                    found += 1
-                continue
-            if not (a or b):
-                continue
-            half = i if a else j
+            if a not in {1, -1} or b not in {1, -1}:
+                return None
+            # x_i = -(b / a) x_j in the kernel
+            odd = a == b
+            root_i, flip_i = find(i)
+            root_j, flip_j = find(j)
+            if root_i != root_j:
+                link[root_i] = (root_j, flip_i ^ flip_j ^ odd)
+                kind_i, kind_j = kind.pop(root_i, 3), kind.get(root_j, 3)
+                if kind_i < kind_j:
+                    kind[root_j] = kind_i
+                found += kind_i == 3 or kind_j == 3
+            elif flip_i ^ flip_j != odd and root_i not in kind:
+                kind[root_i] = 2
+                found += 1
+        elif len(entries) == 1:
+            (col, a), = entries
+            weight = abs(a)
+            if weight not in {1, 2}:
+                return None
+            root = find(col)[0]
+            old = kind.get(root, 3)
+            found += old == 3
+            if weight < old:
+                kind[root] = weight
         elif entries:
-            (half, a), = entries
-            if not (a % char if char else a):
-                continue
-        else:
-            continue
-        root = find(half)[0]
-        if root not in full:
-            full.add(root)
-            found += 1
-    return found
+            return None
+    return found, sum(k == 2 for k in kind.values())
 
 
 def _eliminate(rows, char: int) -> int:

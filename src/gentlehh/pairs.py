@@ -204,15 +204,13 @@ def _unreachable_vertex(quiver) -> int | None:
 
 
 class RRCounts(NamedTuple):
-    """The characteristic-free counts :func:`hh_dims_rr` combines: the
-    degree-0 annihilated cycle pairs, the loop pairs, and ``degrees[n]``
-    for n >= 1, the zero_zero and empty_incomplete sizes and the gentle
-    complete orbits of degree n, for the degrees enumerated; ``periodic``
-    when those stop at RR_BUILT_TOP and later degrees repeat the counts
-    three below."""
+    """The characteristic-free counts :func:`hh_dims_rr` combines, one per
+    degree enumerated: ``degrees[0]`` is the number of degree-0
+    annihilated cycle pairs and ``degrees[n]``, n >= 1, the zero_zero and
+    empty_incomplete sizes and the gentle complete orbits of degree n;
+    ``periodic`` when they stop at RR_BUILT_TOP and later degrees repeat
+    the counts three below."""
 
-    set_a: int
-    loop_pairs: int
     degrees: tuple
     periodic: bool
 
@@ -221,8 +219,9 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> RRCounts:
     """Counts that serve nmax: of degrees 0..RR_BUILT_TOP with the period
     when nmax reaches it and the zero paths repeat, else of 0..nmax, with
     the connectivity and period checks.  The presentation keeps one
-    record, like its complex (:func:`cochain.build_complex`); a failed
-    check keeps nothing."""
+    record, like its complex (:func:`cochain.build_complex`): a larger
+    nmax extends it from its last degree, and a failed check keeps it as
+    it was."""
     counts = presentation.rr_counts
     if counts is not None and (counts.periodic or len(counts.degrees) > nmax):
         return counts
@@ -234,15 +233,15 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> RRCounts:
         raise ValueError("rr needs a connected quiver: vertex %s is not reachable "
                          "from vertex %s"
                          % (quiver.vertices[unreached], quiver.vertices[0]))
-    families = [rr_sets(presentation, n) for n in range(built + 1)]
-    degrees = [None] + [(len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
-                        for f in families[1:]]
+    degrees = list(counts.degrees) if counts else []
+    for n in range(len(degrees), built + 1):
+        f = rr_sets(presentation, n)
+        degrees.append((len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
+                       if n else len(f.set_a))
     if periodic and degrees[RR_BUILT_TOP] != degrees[RR_BUILT_TOP - 3]:
         raise AssertionError("rr counts of degree %d differ from degree %d"
                              % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
-    counts = presentation.rr_counts = RRCounts(
-        set_a=len(families[0].set_a), loop_pairs=len(families[1].loop_pairs),
-        degrees=tuple(degrees), periodic=periodic)
+    counts = presentation.rr_counts = RRCounts(degrees=tuple(degrees), periodic=periodic)
     return counts
 
 
@@ -273,10 +272,10 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     while len(degrees) <= nmax:
         degrees.append(degrees[-3])
     quiver = presentation.quiver
-    dims = [1 + counts.set_a]
+    dims = [1 + degrees[0]]
     hh1 = 1 + degrees[1][0] + len(quiver.arrows) - len(quiver.vertices)
     if characteristic == 2:
-        hh1 += counts.loop_pairs
+        hh1 += len(presentation.loop_pairs)
     dims.append(hh1)
     weights = parity_weights(characteristic, 0), parity_weights(characteristic, 1)
     for n in range(2, nmax + 1):

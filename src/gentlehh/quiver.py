@@ -102,10 +102,11 @@ class GentlePresentation:
     ``periodic`` (whether the levels repeat under :meth:`shift`).
     ``complex`` and ``rr_counts`` keep the one build each of
     :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr` for the
-    largest nmax asked so far, checked when built; every smaller nmax reads
-    its first degrees.  Nothing kept holds a characteristic or an nmax, so
-    one presentation serves every characteristic; it changes only by
-    filling these caches or replacing a kept build by a larger one.
+    largest nmax asked so far, checked when built; a larger nmax extends
+    it and every smaller one reads its first degrees.  Nothing kept holds
+    a characteristic or an nmax, so one presentation serves every
+    characteristic; it changes only by filling these caches or replacing
+    a kept build by its extension.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):

@@ -40,25 +40,32 @@ def test_rank_rejects_composite_characteristic():
         rank([((0, 1),)], 6)
 
 
-def reference_rank(dense, char):
-    """Largest k with a k x k minor that is nonzero in the field, each
-    determinant expanded over all permutations."""
-    def det(rows, cols):
-        total = 0
-        for perm in permutations(range(len(rows))):
-            inversions = sum(1 for i, j in combinations(range(len(perm)), 2)
-                             if perm[i] > perm[j])
-            term = -1 if inversions % 2 else 1
-            for i, j in enumerate(perm):
-                term *= dense[rows[i]][cols[j]]
-            total += term
-        return total % char if char else total
+def minor(dense, rows, cols):
+    """The integer determinant of a square submatrix, expanded over all
+    permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for i, j in combinations(range(len(perm)), 2)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= dense[rows[i]][cols[j]]
+        total += term
+    return total
 
+
+def minors(dense, k):
+    """Every k x k minor of the matrix."""
+    n_rows, n_cols = len(dense), len(dense[0]) if dense else 0
+    return (minor(dense, rows, cols) for rows in combinations(range(n_rows), k)
+            for cols in combinations(range(n_cols), k))
+
+
+def reference_rank(dense, char):
+    """Largest k with a k x k minor that is nonzero in the field."""
     n_rows, n_cols = len(dense), len(dense[0]) if dense else 0
     for k in range(min(n_rows, n_cols), 0, -1):
-        if any(det(rows, cols)
-               for rows in combinations(range(n_rows), k)
-               for cols in combinations(range(n_cols), k)):
+        if any(m % char if char else m for m in minors(dense, k)):
             return k
     return 0
 
@@ -92,15 +99,19 @@ def dense_of(rows, n_cols):
 
 
 @st.composite
-def signed_graph_rows(draw, extra=()):
+def signed_graph_rows(draw, extra=(), oracle=False):
     """Rows of a signed-graph incidence matrix on 2 to 4 columns: edges
     of equal or opposite values, a cycle of them with random signs (so
     balanced and unbalanced cycles both occur), half-edges of value +-1
     and 2, empty rows and explicit zero entries, in random order; ``extra``
-    adds row strategies of other shapes."""
+    adds row strategies of other shapes.  With ``oracle`` only the shapes
+    a differential of the oracle has: edges of values +-1 and half-edges of
+    values +-1 and +-2."""
     n_cols = draw(st.integers(2, 4))
     col = st.integers(0, n_cols - 1)
-    value = st.sampled_from((1, -1, 2, -2, 3))
+    value = st.sampled_from((1, -1) if oracle else (1, -1, 2, -2, 3))
+    half = (1, -1, 2, -2) if oracle else (1, -1, 2, 0)
+    zero = (False,) if oracle else (False,) * 5 + (True,)
 
     def edge(ends, a, same, zero):
         (i, j), b = ends, 0 if zero else (a if same else -a)
@@ -109,9 +120,8 @@ def signed_graph_rows(draw, extra=()):
     two_cols = st.lists(col, min_size=2, max_size=2, unique=True)
     row = st.one_of(
         st.just(()),
-        st.tuples(st.tuples(col, st.sampled_from((1, -1, 2, 0)))),
-        st.builds(edge, two_cols, value, st.booleans(),
-                  st.sampled_from((False,) * 5 + (True,))),
+        st.tuples(st.tuples(col, st.sampled_from(half))),
+        st.builds(edge, two_cols, value, st.booleans(), st.sampled_from(zero)),
         *extra)
     rows = draw(st.lists(row, max_size=5))
     cycle = draw(st.lists(col, min_size=2, max_size=n_cols, unique=True))
@@ -120,11 +130,18 @@ def signed_graph_rows(draw, extra=()):
     return draw(st.permutations(rows)), n_cols
 
 
+def oracle_shaped(entries):
+    """Empty, one entry +-1 or +-2, or two entries +-1: the rows
+    :func:`linalg.signed_form` takes."""
+    values = [abs(value) for _, value in entries]
+    return values in ([], [1], [2], [1, 1])
+
+
 @settings(max_examples=400, deadline=None)
 @given(signed_graph_rows(), st.sampled_from((0, 2, 3, 5)))
 def test_signed_graph_rank_matches_brute_force(drawn, char):
     rows, n_cols = drawn
-    assert linalg._signed_rank(rows, char) is not None
+    assert (linalg.signed_form(rows) is not None) == all(map(oracle_shaped, rows))
     assert rank(rows, char) == reference_rank(dense_of(rows, n_cols), char)
 
 
@@ -154,13 +171,17 @@ def test_rows_with_three_entries_are_eliminated(monkeypatch):
     triangle = [((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 1), (2, -1))]
     for char in (0, 2, 3):
         assert rank(triangle, char) == 2
-    # three nonzero entries, except mod 2, where the -2 vanishes
+    assert eliminated == []
+    # the form is characteristic-free, so any row outside the oracle's
+    # shapes is eliminated at every characteristic: three nonzero entries
+    # (even where the -2 vanishes mod 2), 1 and 2 in one row (even where
+    # 2 = -1 mod 3), an edge of values 2, and an explicit zero entry
     stacked = triangle + [((0, 1), (1, 1), (2, -2))]
     assert [rank(stacked, char) for char in (0, 2, 3)] == [2, 2, 2]
-    # 1 and 2 differ in magnitude, except mod 3, where 2 = -1, and mod 2,
-    # where 2 = 0
     assert [rank([((0, 1), (1, 2))] * 2, char) for char in (0, 2, 3)] == [1, 1, 1]
-    assert eliminated == [0, 3, 0]
+    assert [rank([((0, 2), (1, 2))], char) for char in (0, 2, 3)] == [1, 0, 1]
+    assert [rank([((0, 1), (1, 0))], char) for char in (0, 2, 3)] == [1, 1, 1]
+    assert eliminated == [0, 2, 3] * 4
 
 
 def test_oracle_characteristic_validation():

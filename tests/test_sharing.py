@@ -96,8 +96,8 @@ def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
         hh_dims_rr(p, 0, nmax)
     assert [n for _, n in families] == list(range(6))
 
-    # without a period a larger nmax builds anew and a smaller one reads
-    # the first degrees of the kept build
+    # without a period a larger nmax extends the kept build from its last
+    # degree, and a smaller one reads the first degrees of the kept build
     checks = counting(monkeypatch, cochain_module, "verify_complex_property")
     del families[:]
     p, reference = chain_presentation(4), chain_presentation(4)
@@ -112,7 +112,7 @@ def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
     assert len(checks) == 2
     assert built[10] is built[30] is not built[40]
     assert [len(b.bases) for b in built.values()] == [32, 32, 42]
-    assert [n for _, n in families] == list(range(31)) + list(range(41))
+    assert [n for _, n in families] == list(range(41))
 
 
 def test_cached_objects_serve_every_characteristic():
@@ -153,3 +153,39 @@ def test_levels_are_shared_tuples():
         adjacency = list(p.quiver.outgoing.values()) + list(p.quiver.incoming.values())
         assert adjacency and all(type(arrows) is tuple for arrows in adjacency)
         assert p.parallel and all(type(paths) is tuple for paths in p.parallel.values())
+
+
+def test_a_larger_nmax_extends_the_kept_build(monkeypatch):
+    # torus-T1 asked at a growing nmax: nmax 5 extends the nmax-4 build by
+    # one degree, nmax 8 reaches the period and extends it to BUILT_TOP,
+    # and nmax 13 and 60 read it; the rr counts reach their period at 5
+    surface = fixture_by_name("torus-T1").surface
+    order = (4, 5, 8, 13, 60)
+    expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char, nmax),
+                               hh_dims_rr(fresh, char, nmax))
+                for nmax in order for char in (0, 2, 3)
+                for fresh in [build_quiver(surface._replace())]}
+    checks = counting(monkeypatch, cochain_module, "verify_complex_property")
+    periods = counting(monkeypatch, cochain_module, "verify_period")
+    forms = counting(monkeypatch, cochain_module, "signed_form")
+    families = counting(monkeypatch, pairs_module, "rr_sets")
+    p = build_quiver(surface._replace())
+    kept = None
+    for nmax in order:
+        complex_ = build_complex(p, nmax)
+        if kept is not None:
+            # the degrees already built are the kept objects, not rebuilt
+            for field in ("bases", "differentials", "forms"):
+                old, new = getattr(kept, field), getattr(complex_, field)
+                assert all(a is b for a, b in zip(old, new)), (nmax, field)
+        kept = complex_
+        for char in (0, 2, 3):
+            assert (hh_dims_oracle(complex_, char, nmax),
+                    hh_dims_rr(p, char, nmax)) == expected[nmax, char], (nmax, char)
+    assert kept.period and len(kept.bases) == 10
+    # every D_n is formed once and every D_{n+1} D_n checked once
+    assert [next(n for n, d in enumerate(kept.differentials) if d is rows)
+            for rows, in forms] == list(range(1, 9))
+    assert [args[1] for args in checks] == [1, 5, 6]
+    assert len(periods) == 1
+    assert [n for _, n in families] == list(range(6))
