@@ -53,18 +53,23 @@ def generate_polygon_triangulations(n: int) -> list[TriangulationInput]:
                 oriented_side(a, b), oriented_side(b, c), oriented_side(c, a)))
         return shared[a, b, c]
 
-    def split(lo, hi):
-        if hi - lo < 2:
-            yield ()
-            return
-        for apex in range(lo + 1, hi):
-            tri = triangle(lo, apex, hi)
-            for left in split(lo, apex):
-                for right in split(apex, hi):
-                    yield left + (tri,) + right
-
     return [TriangulationInput(name="polygon%d-%03d" % (n, idx), triangles=triangles)
-            for idx, triangles in enumerate(split(0, n - 1))]
+            for idx, triangles in enumerate(_split(0, n - 1, triangle))]
+
+
+def _split(lo, hi, triangle):
+    """Every triangulation of the polygon p_lo..p_hi as a tuple of
+    ``triangle(a, b, c)`` results.  A module function, not a closure: a
+    nested recursive function holds itself through its closure cell, and
+    that cycle would keep the triangle table alive until a collection."""
+    if hi - lo < 2:
+        yield ()
+        return
+    for apex in range(lo + 1, hi):
+        tri = triangle(lo, apex, hi)
+        for left in _split(lo, apex, triangle):
+            for right in _split(apex, hi, triangle):
+                yield left + (tri,) + right
 
 
 _FIXTURE_FILES = (

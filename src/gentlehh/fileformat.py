@@ -63,8 +63,9 @@ def parse_triangulation(doc) -> TriangulationInput:
                     raise FormatError(
                         "triangle %d side %d: labels and vertex names must be "
                         "non-empty strings of valid Unicode" % (t_idx, s_idx))
-            sides.append(Side(label=label, kind=kind, src=src, dst=dst))
-        triangles.append(Triangle(sides=(sides[0], sides[1], sides[2])))
+            # positional calls: keywords double the cost of each side
+            sides.append(Side(label, kind, src, dst))
+        triangles.append(Triangle((sides[0], sides[1], sides[2])))
     return TriangulationInput(name=name, triangles=tuple(triangles))
 
 
@@ -96,8 +97,26 @@ def as_document(data: TriangulationInput) -> dict:
     }
 
 
+def indented_json(value, indent="") -> str:
+    """``json.dumps(value, indent=2)`` for the documents this package
+    writes (dicts with string keys, lists, tuples and scalars).  The
+    standard encoder serves ``indent`` from mutually recursive closures
+    that form a reference cycle on every call, so only the cyclic garbage
+    collector could free them; this writer leaves none."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        return "{\n%s\n%s}" % (",\n".join(
+            "%s%s: %s" % (inner, json.dumps(key), indented_json(item, inner))
+            for key, item in value.items()), indent)
+    if isinstance(value, (list, tuple)) and value:
+        return "[\n%s\n%s]" % (",\n".join(
+            inner + indented_json(item, inner) for item in value), indent)
+    # an int's JSON text is its repr; json.dumps costs a one-shot encoder
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
 def dumps(data: TriangulationInput) -> str:
-    return json.dumps(as_document(data), indent=2) + "\n"
+    return indented_json(as_document(data)) + "\n"
 
 
 def dump_file(data: TriangulationInput, path):

@@ -1,11 +1,11 @@
 """Per-instance analysis report: surface census, dimension tables from the
 requested methods, derived invariant, and the cross-method verdict."""
 
-import json
 from typing import NamedTuple
 
 from .ag import AGInvariant, ag_invariant, hh_dims_ladkani
 from .cochain import build_complex, hh_dims_oracle
+from .fileformat import indented_json
 from .geometric import hh_dims_geometric
 from .pairs import hh_dims_rr
 from .quiver import build_quiver
@@ -161,4 +161,4 @@ def as_json_document(report: Report) -> dict:
 
 
 def render_json(report: Report) -> str:
-    return json.dumps(as_json_document(report), indent=2)
+    return indented_json(as_json_document(report))

@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gentlehh import fileformat
 from gentlehh.fileformat import FormatError
@@ -57,7 +61,6 @@ def test_extra_keys_ignored():
     (lambda d: d["triangles"][1][2].update(to="\udbff4"), "Unicode"),
 ])
 def test_malformed_documents_rejected(mutate, fragment):
-    import json
     doc = json.loads(GOOD)
     mutate(doc)
     with pytest.raises(FormatError) as err:
@@ -83,3 +86,15 @@ def test_load_and_dump_file(tmp_path):
     path = tmp_path / "wedge.json"
     fileformat.dump_file(data, path)
     assert fileformat.load_file(path) == data
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(JSON_VALUES)
+def test_indented_json_is_the_standard_indent_2_text(value):
+    assert fileformat.indented_json(value) == json.dumps(value, indent=2)
