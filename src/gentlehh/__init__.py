@@ -11,7 +11,7 @@ from .corpus import (Fixture, FixtureCorrupt, builtin_fixtures,
 from .fileformat import FormatError, load_file, loads
 from .geometric import GeometricResult, hh1_remark, hh_dims_geometric
 from .pairs import (HHTable, ParallelPairFamily, ap_paths, coinvariant_dim,
-                    hh_dims_rr, pair_order, rotate, rr_sets)
+                    hh_dims_rr, rotate, rr_sets)
 from .quiver import (Arrow, GentlePresentation, GentlenessViolation,
                      InfiniteDimensionalError, Path, Quiver, build_quiver,
                      check_gentle, enumerate_basis)

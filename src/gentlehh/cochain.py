@@ -34,9 +34,10 @@ D_{n+6} = D_n for n >= 3 (and D_{n+3} = D_n mod 2).
 :func:`build_complex` then builds degrees 0..9 only, checks the shift
 on the bases it built, D_{n+3} = D_n mod 2 and D_9 == D_3, and every
 later degree, over every field, reuses the basis size and the form of
-the built degree congruent to it mod 6.  Presentations whose zero paths
-do not repeat, and every nmax below BUILT_TOP - 1, are built up to
-nmax + 1 by the same loop.
+the built degree congruent to it mod 6.  That one period is built on
+first use, whatever nmax is asked, and serves every nmax.  Presentations
+whose zero paths do not repeat (none comes from a surface) are built up
+to nmax + 1 by the same loop.
 """
 
 from typing import NamedTuple
@@ -74,32 +75,30 @@ class CochainComplex(NamedTuple):
 
 def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex:
     """A complex that serves nmax: degrees 0..BUILT_TOP with the period
-    when nmax + 1 reaches BUILT_TOP and the zero paths repeat, else
-    degrees 0..nmax + 1.  D_{n+1} D_n = 0 is asserted over the integers on
-    every degree built, and the period on every build that uses it; basis
-    enumeration may raise :class:`InfiniteDimensionalError`.
+    when the zero paths repeat, whatever nmax is, else degrees 0..nmax + 1.
+    D_{n+1} D_n = 0 is asserted over the integers on every degree built,
+    and the period on every build that uses it; basis enumeration may
+    raise :class:`InfiniteDimensionalError`.
 
-    The presentation keeps one build, in ``presentation.complex``: the one
-    for the largest nmax asked so far.  It is handed back while it has a
-    period or holds degrees 0..nmax + 1; a larger nmax extends it from its
-    last degree, assembling, checking and forming the new degrees only,
-    and a failed check keeps the build as it was.  :func:`build_quiver`
-    shares a presentation only for the same surface object, which is
-    immutable, so the kept complex always belongs to its quiver.  Its
-    bases are the presentation's levels, not copies.
+    The presentation keeps one build, in ``presentation.complex``.  It is
+    handed back when it has a period or holds degrees 0..nmax + 1;
+    otherwise this builds again from degree 0 and, once every check
+    passes, replaces it.  So a periodic presentation builds its one period
+    on first use and only a presentation without one, asked a larger
+    nmax, builds twice.  :func:`build_quiver` shares a presentation only
+    for the same surface object, which is immutable, so the kept complex
+    always belongs to its quiver.  Its bases are the presentation's
+    levels, not copies.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     kept = presentation.complex
     if kept is not None and (kept.period or len(kept.bases) > nmax + 1):
         return kept
-    period = PERIOD if nmax + 1 >= BUILT_TOP and presentation.periodic else 0
-    built = BUILT_TOP if period else nmax + 1
-    bases, differentials, forms = (map(list, (kept.bases, kept.differentials, kept.forms))
-                                   if kept else ([], [None], [(0, 0)]))
-    start = len(bases)
+    period = PERIOD if presentation.periodic else 0
+    bases, differentials = [], [None]
     arrows = presentation.quiver.arrows
-    for n in range(start, built + 1):
+    for n in range((BUILT_TOP if period else nmax + 1) + 1):
         bases.append(presentation.parallel_pairs(n))
         if n == 0:
             continue
@@ -136,14 +135,14 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
                 matrix.append(((head_col, sign), (tail_col, 1)))
         differentials.append(tuple(matrix))
     # the oracle reads D_1..D_8 of a period; D_9 is checked against D_3 instead
-    for rows in differentials[len(forms):len(differentials) - bool(period)]:
-        forms.append(signed_form(rows))
-        if forms[-1] is None:
-            raise AssertionError("D_%d is not a signed graph" % (len(forms) - 1))
+    forms = [(0, 0)] + [signed_form(rows)
+                        for rows in (differentials[1:-1] if period else differentials[1:])]
+    if None in forms:
+        raise AssertionError("D_%d is not a signed graph" % forms.index(None))
 
     complex_ = CochainComplex(bases=tuple(bases), differentials=tuple(differentials),
                               forms=tuple(forms), period=period)
-    verify_complex_property(complex_, max(1, start - 1))
+    verify_complex_property(complex_)
     if period:
         verify_period(presentation, complex_)
     presentation.complex = complex_
@@ -177,10 +176,10 @@ def verify_period(presentation: GentlePresentation, complex_: CochainComplex):
         raise AssertionError("D_%d != D_%d" % (last, last - complex_.period))
 
 
-def verify_complex_property(complex_: CochainComplex, start: int = 1):
-    """Check D_{n+1} . D_n = 0 over the integers for every built degree
-    n >= start, in time proportional to the number of nonzero products."""
-    for n in range(start, len(complex_.differentials) - 1):
+def verify_complex_property(complex_: CochainComplex):
+    """Check D_{n+1} . D_n = 0 over the integers for every built degree,
+    in time proportional to the number of nonzero products."""
+    for n in range(1, len(complex_.differentials) - 1):
         d_n = complex_.differentials[n]
         for row, entries in enumerate(complex_.differentials[n + 1]):
             totals = {}

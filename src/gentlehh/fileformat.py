@@ -11,6 +11,7 @@ notes) are ignored by the parser.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .surface import ARC, BOUNDARY, Side, Triangle, TriangulationInput
 
@@ -106,13 +107,16 @@ def indented_json(value, indent="") -> str:
     inner = indent + "  "
     if isinstance(value, dict) and value:
         return "{\n%s\n%s}" % (",\n".join(
-            "%s%s: %s" % (inner, json.dumps(key), indented_json(item, inner))
+            "%s%s: %s" % (inner, encode_basestring_ascii(key), indented_json(item, inner))
             for key, item in value.items()), indent)
     if isinstance(value, (list, tuple)) and value:
         return "[\n%s\n%s]" % (",\n".join(
             inner + indented_json(item, inner) for item in value), indent)
-    # an int's JSON text is its repr; json.dumps costs a one-shot encoder
-    return repr(value) if type(value) is int else json.dumps(value)
+    # an int's JSON text is its repr and a string's is what json.dumps
+    # escapes it to; json.dumps itself costs a one-shot encoder
+    if type(value) is int:
+        return repr(value)
+    return encode_basestring_ascii(value) if type(value) is str else json.dumps(value)
 
 
 def dumps(data: TriangulationInput) -> str:

@@ -17,8 +17,11 @@ the degree-n pairs onto the degree-(n+3) pairs that keeps the first and
 the last arrow of rho, both endpoints and the basis path, which is all
 the zero_zero, empty_incomplete, complete and complete0 predicates read;
 on a complete chain it also commutes with rotation, so the orbits match
-too.  :func:`hh_dims_rr` then enumerates degrees 0..5, checks the counts
-of degree 5 against degree 2, and repeats degrees 3..5 with period 3.
+too.  :func:`hh_dims_rr` then enumerates degrees 0..5 on first use,
+whatever nmax is asked, checks the counts of degree 5 against degree 2,
+and repeats degrees 3..5 with period 3 for every nmax.  Presentations
+whose zero paths do not repeat (none comes from a surface) enumerate
+degrees 0..nmax.
 """
 
 from typing import NamedTuple
@@ -156,11 +159,6 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
         loop_pairs=presentation.loop_pairs, gentle_orbits=gentle_orbits)
 
 
-def pair_order(presentation: GentlePresentation, pair) -> int:
-    """Least k >= 1 with rotate^k fixing the cyclic pair."""
-    return len(_orbits(presentation, [pair[0]])[0])
-
-
 def coinvariant_dim(presentation: GentlePresentation, n: int,
                     characteristic: int = 0,
                     family: ParallelPairFamily | None = None) -> int:
@@ -203,45 +201,37 @@ def _unreachable_vertex(quiver) -> int | None:
     return next((v for v in range(len(quiver.vertices)) if v not in reached), None)
 
 
-class RRCounts(NamedTuple):
+def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple:
     """The characteristic-free counts :func:`hh_dims_rr` combines, one per
-    degree enumerated: ``degrees[0]`` is the number of degree-0
-    annihilated cycle pairs and ``degrees[n]``, n >= 1, the zero_zero and
-    empty_incomplete sizes and the gentle complete orbits of degree n;
-    ``periodic`` when they stop at RR_BUILT_TOP and later degrees repeat
-    the counts three below."""
+    degree enumerated: entry 0 is the number of degree-0 annihilated
+    cycle pairs and entry n >= 1 the zero_zero and empty_incomplete sizes
+    and the gentle complete orbits of degree n.  When the zero paths
+    repeat they stop at RR_BUILT_TOP, whatever nmax is, and later degrees
+    repeat the counts three below; else they cover 0..nmax.  The
+    connectivity and period checks run on every enumeration.
 
-    degrees: tuple
-    periodic: bool
-
-
-def _rr_counts(presentation: GentlePresentation, nmax: int) -> RRCounts:
-    """Counts that serve nmax: of degrees 0..RR_BUILT_TOP with the period
-    when nmax reaches it and the zero paths repeat, else of 0..nmax, with
-    the connectivity and period checks.  The presentation keeps one
-    record, like its complex (:func:`cochain.build_complex`): a larger
-    nmax extends it from its last degree, and a failed check keeps it as
-    it was."""
-    counts = presentation.rr_counts
-    if counts is not None and (counts.periodic or len(counts.degrees) > nmax):
+    The presentation keeps one tuple of counts, like its complex
+    (:func:`cochain.build_complex`): it serves when the zero paths repeat
+    or it holds degrees 0..nmax, else the counts are enumerated again
+    from degree 0 and, once every check passes, replace it."""
+    counts, periodic = presentation.rr_counts, presentation.periodic
+    if counts is not None and (periodic or len(counts) > nmax):
         return counts
-    periodic = nmax >= RR_BUILT_TOP and presentation.periodic
-    built = RR_BUILT_TOP if periodic else nmax
     quiver = presentation.quiver
     unreached = _unreachable_vertex(quiver)
     if unreached is not None:
         raise ValueError("rr needs a connected quiver: vertex %s is not reachable "
                          "from vertex %s"
                          % (quiver.vertices[unreached], quiver.vertices[0]))
-    degrees = list(counts.degrees) if counts else []
-    for n in range(len(degrees), built + 1):
+    counts = []
+    for n in range((RR_BUILT_TOP if periodic else nmax) + 1):
         f = rr_sets(presentation, n)
-        degrees.append((len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
-                       if n else len(f.set_a))
-    if periodic and degrees[RR_BUILT_TOP] != degrees[RR_BUILT_TOP - 3]:
+        counts.append((len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
+                      if n else len(f.set_a))
+    if periodic and counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
         raise AssertionError("rr counts of degree %d differ from degree %d"
                              % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
-    counts = presentation.rr_counts = RRCounts(degrees=tuple(degrees), periodic=periodic)
+    counts = presentation.rr_counts = tuple(counts)
     return counts
 
 
@@ -259,7 +249,7 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
 
     The counts depend on neither the characteristic nor nmax: only the
     extension by the period and the weighted sum run per call, on the
-    record ``presentation.rr_counts`` keeps.  The tail note names the
+    counts ``presentation.rr_counts`` keeps.  The tail note names the
     period only past RR_BUILT_TOP, where it is read.  :func:`build_quiver`
     hands the same presentation back only for the same surface object, so
     the kept counts always belong to the quiver they are read with.
@@ -267,8 +257,7 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     check_characteristic(characteristic)
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    counts = _rr_counts(presentation, nmax)
-    degrees = list(counts.degrees)
+    degrees = list(_rr_counts(presentation, nmax))
     while len(degrees) <= nmax:
         degrees.append(degrees[-3])
     quiver = presentation.quiver
@@ -283,6 +272,6 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
         zero_zero, empty_incomplete, orbits = degrees[n]
         dims.append(zero_zero + empty_incomplete + a * orbits + b * degrees[n - 1][2])
     tail_note = ("degrees 0..%d enumerated, then period 3" % RR_BUILT_TOP
-                 if counts.periodic and nmax > RR_BUILT_TOP
+                 if presentation.periodic and nmax > RR_BUILT_TOP
                  else "computed degree by degree")
     return HHTable(dims=tuple(dims), tail_note=tail_note)

@@ -101,12 +101,14 @@ class GentlePresentation:
     paths by (source, target), in basis order), the parallel-pair levels and
     ``periodic`` (whether the levels repeat under :meth:`shift`).
     ``complex`` and ``rr_counts`` keep the one build each of
-    :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr` for the
-    largest nmax asked so far, checked when built; a larger nmax extends
-    it and every smaller one reads its first degrees.  Nothing kept holds
-    a characteristic or an nmax, so one presentation serves every
-    characteristic; it changes only by filling these caches or replacing
-    a kept build by its extension.
+    :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr`, checked
+    when built.  When the levels repeat that build is one period, made on
+    first use whatever nmax is asked, and it serves every nmax; otherwise
+    it holds the degrees of the largest nmax asked so far, a smaller nmax
+    reads its first degrees and a larger one builds again from degree 0.
+    Nothing kept holds a characteristic or an nmax, so one presentation
+    serves every characteristic; it changes only by filling these caches
+    or replacing a kept build.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):

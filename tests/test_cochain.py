@@ -194,15 +194,16 @@ def test_oracle_characteristic_validation():
 
 def test_oracle_rejects_an_nmax_the_complex_cannot_serve():
     # without a period the complex serves nmax up to its top degree - 1,
-    # each from its first degrees; with one it serves every nmax
-    p = presentation_for("fig8")
-    short = build_complex(p, 3)
+    # each from its first degrees; with one it serves every nmax.  Every
+    # surface has a period, so the short complex is the chain quiver's.
+    from test_periodicity import chain_presentation  # it imports this module
+    short = build_complex(chain_presentation(4), 3)
     assert short.period == 0 and len(short.bases) == 5
     assert hh_dims_oracle(short, 0, 2).dims == hh_dims_oracle(short, 0, 3).dims[:3]
     for nmax in (0, 4):
         with pytest.raises(ValueError, match="nmax"):
             hh_dims_oracle(short, 0, nmax)
-    periodic = build_complex(p, 60)
+    periodic = build_complex(presentation_for("fig8"), 3)
     assert periodic.period and len(hh_dims_oracle(periodic, 2, 1).dims) == 2
     with pytest.raises(ValueError, match="nmax"):
         hh_dims_oracle(periodic, 2, 0)

@@ -161,7 +161,8 @@ def test_complex_rows_equal_the_sorted_entry_dicts(group):
         if finite_basis(p) is None:
             continue
         complex_ = build_complex(p, top)
-        bases, differentials = reference_complex(p, top)
+        # a periodic complex holds degrees 0..9 whatever top is
+        bases, differentials = reference_complex(p, len(complex_.bases) - 2)
         for n in range(1, len(complex_.differentials)):
             assert complex_.bases[n] == tuple(bases[n]), (name, n)
             assert complex_.differentials[n] == tuple(differentials[n]), (name, n)

@@ -16,7 +16,8 @@ from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError, Path,
                       Quiver, build_complex, build_quiver, build_surface,
                       builtin_fixtures, check_gentle, coinvariant_dim,
                       fixture_by_name, generate_polygon_triangulations,
-                      hh_dims_oracle, hh_dims_rr, rr_sets, verify_period)
+                      hh_dims_geometric, hh_dims_oracle, hh_dims_rr, rr_sets,
+                      verify_period)
 from gentlehh import cochain as cochain_module
 from gentlehh import linalg
 from gentlehh import pairs as pairs_module
@@ -148,6 +149,25 @@ def test_built_degrees_do_not_grow_with_nmax():
             assert len(complex_.bases) == len(complex_.differentials) <= 10
             sizes.add(len(complex_.bases))
         assert sizes == {BUILT_TOP + 1}, surface.name
+
+
+def test_every_surface_builds_its_period_at_nmax_1():
+    # build_complex and hh_dims_rr build the one period whatever nmax is
+    # asked, so no surface should reach the degree-by-degree build
+    surfaces = ([(f.name, f.surface) for f in builtin_fixtures()]
+                + [(d.name, build_surface(d)) for n in range(4, 10)
+                   for d in generate_polygon_triangulations(n)]
+                + [(s.name, s) for s in (random_polygon(60, 11), random_polygon(150, 1),
+                                         random_polygon(200, 1))])
+    assert len(surfaces) == 5 + 624 + 3
+    for name, surface in surfaces:
+        p = build_quiver(surface)
+        assert p.periodic, name
+        complex_ = build_complex(p, 1)
+        assert complex_.period == 6, name
+        for char in CHARS:
+            assert (hh_dims_oracle(complex_, char, 1).dims
+                    == hh_dims_geometric(surface, char, 13).table.dims[:2]), (name, char)
 
 
 def test_rr_enumerates_one_period(monkeypatch):

@@ -1,12 +1,13 @@
 """A table at nmax k is the first k + 1 entries of the table at nmax 20.
 
-A presentation keeps one complex and one set of rr counts, built for the
-largest nmax asked so far, and every smaller nmax reads their first
-degrees.  So one presentation is asked at nmax 1..20 in ascending order,
-which rebuilds whenever nmax grows past the kept build, and then in
-descending order, which reads the nmax-20 build throughout.  Every answer
-must be the prefix of a fresh presentation's nmax-20 table.  The closed
-formulas keep nothing, and are checked the same way.
+A presentation keeps one complex and one set of rr counts.  On a
+surface they are one period, built at the first nmax asked, and every
+nmax reads them; without a period they hold the degrees of the largest
+nmax asked so far, and a larger nmax builds them again from degree 0.
+So one presentation is asked at nmax 1..20 in ascending order and then
+in descending order, and every answer must be the prefix of a fresh
+presentation's nmax-20 table.  The closed formulas keep nothing, and
+are checked the same way.
 """
 
 import pytest

@@ -2,9 +2,13 @@
 
 build_quiver hands back its last presentation for the same surface
 object, and that presentation keeps one complex and one set of rr
-counts, built for the largest nmax asked so far, so crosscheck's char 0
-and char 2 analyses of a surface share everything that does not depend
-on the characteristic, and a smaller nmax reads the kept build.
+counts, so crosscheck's char 0 and char 2 analyses of a surface share
+everything that does not depend on the characteristic.  Every surface's
+zero paths repeat, so both are one period, built on first use whatever
+nmax is asked, and serve every nmax.  A presentation without a period
+(the chain quiver here) keeps the build of the largest nmax asked so
+far: a smaller nmax reads its first degrees and a larger one builds
+again from degree 0.
 """
 
 import gc
@@ -61,43 +65,53 @@ def test_a_replaced_presentation_is_released():
 
 
 def test_one_build_serves_every_nmax_that_uses_the_period(monkeypatch):
-    # torus-T1 repeats from degree 2 on, so the complex built for nmax 60
-    # and its rr counts serve every smaller nmax too: asked largest first,
-    # the presentation builds and checks each once
+    # torus-T1 repeats from degree 2 on, so whichever nmax comes first
+    # builds, checks and forms the one period and enumerates the rr
+    # period, and every later nmax, larger or smaller, reads them
     surface = fixture_by_name("torus-T1").surface
-    order = (60, 13, 8, 5, 4)
+    orders = ((60, 13, 8, 5, 4), (4, 5, 8, 13, 60))
     expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char, nmax),
                                hh_dims_rr(fresh, char, nmax))
-                for nmax in order for char in (0, 2, 3)
+                for nmax in orders[0] for char in (0, 2, 3)
                 for fresh in [build_quiver(surface._replace())]}
-    checks = counting(monkeypatch, cochain_module, "verify_complex_property")
-    periods = counting(monkeypatch, cochain_module, "verify_period")
-    families = counting(monkeypatch, pairs_module, "rr_sets")
-    p = build_quiver(surface)
-    kept = build_complex(p, 60)
-    for nmax in order:
-        assert build_complex(p, nmax) is kept is p.complex, nmax
-        for char in (0, 2, 3):
-            assert (hh_dims_oracle(kept, char, nmax),
-                    hh_dims_rr(p, char, nmax)) == expected[nmax, char], (nmax, char)
-    assert len(checks) == len(periods) == 1
-    assert [n for _, n in families] == list(range(6))
+    for order in orders:
+        checks = counting(monkeypatch, cochain_module, "verify_complex_property")
+        periods = counting(monkeypatch, cochain_module, "verify_period")
+        forms = counting(monkeypatch, cochain_module, "signed_form")
+        families = counting(monkeypatch, pairs_module, "rr_sets")
+        p = build_quiver(surface._replace())
+        kept = build_complex(p, order[0])
+        for nmax in order:
+            assert build_complex(p, nmax) is kept is p.complex, (order, nmax)
+            for char in (0, 2, 3):
+                assert (hh_dims_oracle(kept, char, nmax),
+                        hh_dims_rr(p, char, nmax)) == expected[nmax, char], \
+                    (order, nmax, char)
+        assert kept.period and len(kept.bases) == 10
+        # every D_n is formed once and every D_{n+1} D_n checked once
+        assert [next(n for n, d in enumerate(kept.differentials) if d is rows)
+                for rows, in forms] == list(range(1, 9)), order
+        assert len(checks) == len(periods) == 1, order
+        assert [n for _, n in families] == list(range(6)), order
+        monkeypatch.undo()
 
 
 def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
-    # nmax 8 already reaches degree BUILT_TOP, so it builds the periodic
-    # complex that nmax 13 reads
-    p = build_quiver(fixture_by_name("torus-T1").surface)
-    assert build_complex(p, 8) is build_complex(p, 13)
-    assert build_complex(p, 8).period
-    # likewise nmax 5 reaches RR_BUILT_TOP and enumerates the rr period
+    # torus-T1 repeats, so even nmax 1 builds the periodic complex that
+    # every later nmax reads, and enumerates the rr period
+    p = build_quiver(fixture_by_name("torus-T1").surface._replace())
     families = counting(monkeypatch, pairs_module, "rr_sets")
-    for nmax in (5, 13):
+    first = build_complex(p, 1)
+    assert first.period and len(first.bases) == 10
+    for nmax in (1, 8, 13, 60):
+        assert build_complex(p, nmax) is first is p.complex, nmax
+    for nmax in (1, 13):
         hh_dims_rr(p, 0, nmax)
     assert [n for _, n in families] == list(range(6))
 
-    # without a period a larger nmax extends the kept build from its last
-    # degree, and a smaller one reads the first degrees of the kept build
+    # without a period a larger nmax builds again from degree 0, on the
+    # presentation's levels, and a smaller one reads the first degrees of
+    # the kept build
     checks = counting(monkeypatch, cochain_module, "verify_complex_property")
     del families[:]
     p, reference = chain_presentation(4), chain_presentation(4)
@@ -112,7 +126,8 @@ def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
     assert len(checks) == 2
     assert built[10] is built[30] is not built[40]
     assert [len(b.bases) for b in built.values()] == [32, 32, 42]
-    assert [n for _, n in families] == list(range(41))
+    assert all(a is b for a, b in zip(built[30].bases, built[40].bases))
+    assert [n for _, n in families] == list(range(31)) + list(range(41))
 
 
 def test_cached_objects_serve_every_characteristic():
@@ -153,39 +168,3 @@ def test_levels_are_shared_tuples():
         adjacency = list(p.quiver.outgoing.values()) + list(p.quiver.incoming.values())
         assert adjacency and all(type(arrows) is tuple for arrows in adjacency)
         assert p.parallel and all(type(paths) is tuple for paths in p.parallel.values())
-
-
-def test_a_larger_nmax_extends_the_kept_build(monkeypatch):
-    # torus-T1 asked at a growing nmax: nmax 5 extends the nmax-4 build by
-    # one degree, nmax 8 reaches the period and extends it to BUILT_TOP,
-    # and nmax 13 and 60 read it; the rr counts reach their period at 5
-    surface = fixture_by_name("torus-T1").surface
-    order = (4, 5, 8, 13, 60)
-    expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char, nmax),
-                               hh_dims_rr(fresh, char, nmax))
-                for nmax in order for char in (0, 2, 3)
-                for fresh in [build_quiver(surface._replace())]}
-    checks = counting(monkeypatch, cochain_module, "verify_complex_property")
-    periods = counting(monkeypatch, cochain_module, "verify_period")
-    forms = counting(monkeypatch, cochain_module, "signed_form")
-    families = counting(monkeypatch, pairs_module, "rr_sets")
-    p = build_quiver(surface._replace())
-    kept = None
-    for nmax in order:
-        complex_ = build_complex(p, nmax)
-        if kept is not None:
-            # the degrees already built are the kept objects, not rebuilt
-            for field in ("bases", "differentials", "forms"):
-                old, new = getattr(kept, field), getattr(complex_, field)
-                assert all(a is b for a, b in zip(old, new)), (nmax, field)
-        kept = complex_
-        for char in (0, 2, 3):
-            assert (hh_dims_oracle(complex_, char, nmax),
-                    hh_dims_rr(p, char, nmax)) == expected[nmax, char], (nmax, char)
-    assert kept.period and len(kept.bases) == 10
-    # every D_n is formed once and every D_{n+1} D_n checked once
-    assert [next(n for n, d in enumerate(kept.differentials) if d is rows)
-            for rows, in forms] == list(range(1, 9))
-    assert [args[1] for args in checks] == [1, 5, 6]
-    assert len(periods) == 1
-    assert [n for _, n in families] == list(range(6))
