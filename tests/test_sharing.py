@@ -64,36 +64,46 @@ def test_a_replaced_presentation_is_released():
     assert ref() is None
 
 
-def test_one_build_serves_every_nmax_that_uses_the_period(monkeypatch):
-    # torus-T1 repeats from degree 2 on, so whichever nmax comes first
-    # builds, checks and forms the one period and enumerates the rr
-    # period, and every later nmax, larger or smaller, reads them
+def served_in_order(monkeypatch, order):
+    # asks a fresh torus-T1 presentation at each nmax of order in turn and
+    # checks that the first build serves all of them, built, checked and
+    # formed once, with the rr period enumerated once
     surface = fixture_by_name("torus-T1").surface
-    orders = ((60, 13, 8, 5, 4), (4, 5, 8, 13, 60))
     expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char, nmax),
                                hh_dims_rr(fresh, char, nmax))
-                for nmax in orders[0] for char in (0, 2, 3)
+                for nmax in order for char in (0, 2, 3)
                 for fresh in [build_quiver(surface._replace())]}
-    for order in orders:
-        checks = counting(monkeypatch, cochain_module, "verify_complex_property")
-        periods = counting(monkeypatch, cochain_module, "verify_period")
-        forms = counting(monkeypatch, cochain_module, "signed_form")
-        families = counting(monkeypatch, pairs_module, "rr_sets")
-        p = build_quiver(surface._replace())
-        kept = build_complex(p, order[0])
-        for nmax in order:
-            assert build_complex(p, nmax) is kept is p.complex, (order, nmax)
-            for char in (0, 2, 3):
-                assert (hh_dims_oracle(kept, char, nmax),
-                        hh_dims_rr(p, char, nmax)) == expected[nmax, char], \
-                    (order, nmax, char)
-        assert kept.period and len(kept.bases) == 10
-        # every D_n is formed once and every D_{n+1} D_n checked once
-        assert [next(n for n, d in enumerate(kept.differentials) if d is rows)
-                for rows, in forms] == list(range(1, 9)), order
-        assert len(checks) == len(periods) == 1, order
-        assert [n for _, n in families] == list(range(6)), order
-        monkeypatch.undo()
+    checks = counting(monkeypatch, cochain_module, "verify_complex_property")
+    periods = counting(monkeypatch, cochain_module, "verify_period")
+    forms = counting(monkeypatch, cochain_module, "signed_form")
+    families = counting(monkeypatch, pairs_module, "rr_sets")
+    p = build_quiver(surface._replace())
+    kept = build_complex(p, order[0])
+    for nmax in order:
+        assert build_complex(p, nmax) is kept is p.complex, nmax
+        for char in (0, 2, 3):
+            assert (hh_dims_oracle(kept, char, nmax),
+                    hh_dims_rr(p, char, nmax)) == expected[nmax, char], (nmax, char)
+    assert kept.period and len(kept.bases) == 10
+    # every D_n is formed once and every D_{n+1} D_n checked once
+    assert [next(n for n, d in enumerate(kept.differentials) if d is rows)
+            for rows, in forms] == list(range(1, 9))
+    assert len(checks) == len(periods) == 1
+    assert [n for _, n in families] == list(range(6))
+
+
+def test_one_build_serves_every_nmax_that_uses_the_period(monkeypatch):
+    # torus-T1 repeats from degree 2 on, so the nmax asked first builds,
+    # checks and forms the one period and enumerates the rr period, and
+    # every smaller nmax reads them
+    served_in_order(monkeypatch, (60, 13, 8, 5, 4))
+
+
+def test_a_larger_nmax_extends_the_kept_build(monkeypatch):
+    # asked at a growing nmax, torus-T1 builds its period at nmax 4, and
+    # the period extends the kept build to nmax 5, 8, 13 and 60 without
+    # building, checking or forming any degree again
+    served_in_order(monkeypatch, (4, 5, 8, 13, 60))
 
 
 def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
