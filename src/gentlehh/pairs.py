@@ -1,6 +1,11 @@
 """Degree-n zero paths, parallel-pair families, and the pair-counting
 formula for Hochschild dimensions of a gentle presentation.
 
+The formula (:func:`hh_dims_rr`) holds for a connected gentle
+presentation only and refuses any other with a ValueError; the families
+themselves are enumerated on any quadratic monomial presentation, and
+the oracle (:func:`cochain.hh_dims_oracle`) serves every one.
+
 The families are enumerated exactly: each zero path finds its parallel
 basis paths in the presentation's (source, target) index, and every
 family is a filter of those pairs by its defining predicate.  The tests
@@ -15,7 +20,7 @@ repeat (``GentlePresentation.periodic``: AP_{n+3} is AP_n with one more
 turn in front of each chain, for n >= 2), the shift is a bijection from
 the degree-n pairs onto the degree-(n+3) pairs that keeps the first and
 the last arrow of rho, both endpoints and the basis path, which is all
-the zero_zero, empty_incomplete, complete and complete0 predicates read;
+the zero_zero, empty_incomplete and complete predicates read;
 on a complete chain it also commutes with rotation, so the orbits match
 too.  :func:`hh_dims_rr` then enumerates degrees 0..5 on first use,
 whatever nmax is asked, checks the counts of degree 5 against degree 2,
@@ -49,7 +54,7 @@ class ParallelPairFamily(NamedTuple):
     paths, both the presentation's cached levels.  The remaining fields
     are the subfamilies feeding the dimension formula; ``set_a`` is only
     populated in degree 0 and ``loop_pairs`` is degree independent.
-    ``gentle_orbits`` is the number of rotation orbits of ``gentle_complete``.
+    ``gentle_orbits`` is the number of rotation orbits of ``complete``.
     """
 
     ap: tuple[Path, ...]
@@ -57,9 +62,6 @@ class ParallelPairFamily(NamedTuple):
     set_a: tuple[tuple[Path, Path], ...]
     zero_zero: tuple[tuple[Path, Path], ...]
     complete: tuple[tuple[Path, Path], ...]
-    incomplete: tuple[tuple[Path, Path], ...]
-    complete0: tuple[tuple[Path, Path], ...]
-    gentle_complete: tuple[tuple[Path, Path], ...]
     empty_incomplete: tuple[tuple[Path, Path], ...]
     loop_pairs: tuple[tuple[Path, Path], ...]
     gentle_orbits: int
@@ -107,13 +109,11 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
     ap = ap_paths(presentation, n)
     pairs = presentation.parallel_pairs(n)
     annihilated = presentation.annihilated
-    set_a, zero_zero, complete, incomplete, complete0, empty_incomplete = (
-        [], [], [], [], [], [])
+    set_a, zero_zero, complete, empty_incomplete = [], [], [], []
     if n == 0:
         set_a = [pair for pair in pairs if pair[1].arrows and annihilated(pair[1])]
     else:
         relations = presentation.relations
-        neighbours = presentation.neighbours
         midpoints = presentation.relation_midpoints
         for pair in pairs:
             rho, gamma = pair
@@ -128,45 +128,31 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
             # and the pair is not zero_zero
             if (last, first) in relations:
                 complete.append(pair)
-                # complete0: no relation meets rho's ends but the one closing it
-                if (set(neighbours[first].rel_before) <= {last}
-                        and set(neighbours[last].rel_after) <= {first}):
-                    complete0.append(pair)
-            else:
-                incomplete.append(pair)
-                if rho.source not in midpoints:
-                    empty_incomplete.append(pair)
+            elif rho.source not in midpoints:
+                empty_incomplete.append(pair)
 
-    gentle_complete = ()
-    gentle_orbits = 0
-    if complete:
+    orbits = _orbits(presentation, (rho for rho, _ in complete))
+    if orbits:  # rotation maps complete to itself
         complete_set = {rho for rho, _ in complete}
-        complete0_set = {rho for rho, _ in complete0}
-        gentle = set()
-        for orbit in _orbits(presentation, (rho for rho, _ in complete)):
-            assert complete_set.issuperset(orbit)  # rotation maps complete to itself
-            if complete0_set.issuperset(orbit):
-                gentle.update(orbit)
-                gentle_orbits += 1
-        gentle_complete = tuple(pair for pair in complete if pair[0] in gentle)
+        assert all(complete_set.issuperset(orbit) for orbit in orbits)
 
     return ParallelPairFamily(
         ap=ap, pairs=pairs, set_a=tuple(set_a),
         zero_zero=tuple(zero_zero), complete=tuple(complete),
-        incomplete=tuple(incomplete), complete0=tuple(complete0),
-        gentle_complete=gentle_complete,
         empty_incomplete=tuple(empty_incomplete),
-        loop_pairs=presentation.loop_pairs, gentle_orbits=gentle_orbits)
+        loop_pairs=presentation.loop_pairs, gentle_orbits=len(orbits))
 
 
 def coinvariant_dim(presentation: GentlePresentation, n: int,
                     characteristic: int = 0,
                     family: ParallelPairFamily | None = None) -> int:
-    """Dimension of the rotation coinvariants of the degree-n gentle
-    complete family, counted as its rotation orbits: rotation permutes the
-    family, so over every field the cokernel of (1 - rotation) is free on
-    the orbits, and the characteristic (validated) cannot change it.  The
-    count is the one :func:`rr_sets` records in the family."""
+    """Dimension of the rotation coinvariants of the degree-n complete
+    family, counted as its rotation orbits: rotation permutes the family,
+    so over every field the cokernel of (1 - rotation) is free on the
+    orbits, and the characteristic (validated) cannot change it.  The
+    count is the one :func:`rr_sets` records in the family, on any
+    presentation; :func:`hh_dims_rr` reads it as the coinvariant term of
+    HH^n only on a connected gentle presentation."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_characteristic(characteristic)
@@ -205,10 +191,10 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple:
     """The characteristic-free counts :func:`hh_dims_rr` combines, one per
     degree enumerated: entry 0 is the number of degree-0 annihilated
     cycle pairs and entry n >= 1 the zero_zero and empty_incomplete sizes
-    and the gentle complete orbits of degree n.  When the zero paths
-    repeat they stop at RR_BUILT_TOP, whatever nmax is, and later degrees
-    repeat the counts three below; else they cover 0..nmax.  The
-    connectivity and period checks run on every enumeration.
+    and the complete orbits of degree n.  When the zero paths repeat
+    they stop at RR_BUILT_TOP, whatever nmax is, and later degrees repeat
+    the counts three below; else they cover 0..nmax.  The connectivity,
+    gentleness and period checks run on every enumeration.
 
     The presentation keeps one tuple of counts, like its complex
     (:func:`cochain.build_complex`): it serves when the zero paths repeat
@@ -223,6 +209,10 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple:
         raise ValueError("rr needs a connected quiver: vertex %s is not reachable "
                          "from vertex %s"
                          % (quiver.vertices[unreached], quiver.vertices[0]))
+    if presentation.violations:
+        violation = presentation.violations[0]
+        raise ValueError("rr needs a gentle presentation: %s: %s"
+                         % (violation.condition, violation.message))
     counts = []
     for n in range((RR_BUILT_TOP if periodic else nmax) + 1):
         f = rr_sets(presentation, n)
@@ -244,8 +234,10 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     n >= 2 combines the two family counts with the parity-weighted
     coinvariant dimensions of degrees n and n-1.  When the zero paths
     repeat, degrees past RR_BUILT_TOP repeat the counts three below, and
-    the tail note says so.  The formulas hold for a connected quiver only,
-    so one with a vertex unreachable from vertex 0 is a ValueError.
+    the tail note says so.  The formulas hold for a connected gentle
+    presentation only: one with a vertex unreachable from vertex 0, or
+    failing a :func:`quiver.check_gentle` condition, is a ValueError naming the
+    first fault.  The oracle serves any quadratic monomial presentation.
 
     The counts depend on neither the characteristic nor nmax: only the
     extension by the period and the weighted sum run per call, on the

@@ -98,8 +98,9 @@ class GentlePresentation:
     ``loop_pairs`` pairs each loop with the trivial path at its vertex.
     Cached on first use and shared, never copied: the zero-path levels (AP_n
     extended from AP_{n-1}), ``basis``, ``parallel`` (the tuples of basis
-    paths by (source, target), in basis order), the parallel-pair levels and
-    ``periodic`` (whether the levels repeat under :meth:`shift`).
+    paths by (source, target), in basis order), the parallel-pair levels,
+    ``periodic`` (whether the levels repeat under :meth:`shift`) and
+    ``violations`` (the gentleness check).
     ``complex`` and ``rr_counts`` keep the one build each of
     :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr`, checked
     when built.  When the levels repeat that build is one period, made on
@@ -238,6 +239,13 @@ class GentlePresentation:
         return (all(rho.arrows[0] in self._turns for rho in low)
                 and self.zero_paths(5) == tuple(self.shift(rho) for rho in low))
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The :func:`check_gentle` violations, checked once and read by
+        both :func:`build_quiver` and :func:`pairs.hh_dims_rr`; empty
+        means gentle."""
+        return tuple(check_gentle(self))
+
     def dimension(self) -> int:
         return len(self.basis)
 
@@ -298,10 +306,9 @@ def _build_presentation(surface: TriangulatedSurface) -> GentlePresentation:
     seen = {(a.source, a.target) for a in arrows}
     problems += ["2-cycle between %s and %s" % (quiver.vertices[s], quiver.vertices[t])
                  for s, t in seen if s != t and (t, s) in seen]
-    violations = check_gentle(presentation)
-    if problems or violations:
+    if problems or presentation.violations:
         raise GentlenessViolation(
-            "; ".join(problems + [v.message for v in violations]))
+            "; ".join(problems + [v.message for v in presentation.violations]))
 
     assert len(arrows) == 3 * len(internal) + sint_count(surface)
     return presentation

@@ -256,8 +256,8 @@ def test_criterion_5_family_structure(products):
             cyclic = tuple((rho, gam) for rho, gam in family.pairs
                            if not gam.arrows)
             if n % 3 == 0:
-                check(failures, cyclic == family.gentle_complete,
-                      "%s degree %d: cyclic pairs != gentle complete" % (name, n))
+                check(failures, cyclic == family.complete,
+                      "%s degree %d: cyclic pairs != complete" % (name, n))
                 for char in CHARS:
                     cd = g.coinvariant_dim(pres, n, char, family)
                     check(failures, cd == int_count,

@@ -2,14 +2,15 @@
 one pass per degree, against references that sort, scan or filter afresh.
 
 The corpora: the fixtures, every triangulation of the 4- to 8-gons, the
-seeded loop quivers of test_periodicity and the random presentations of
-test_quiver, which break G3 and G4 and may be infinite dimensional.
+seeded loop quivers of test_periodicity with the 2-cycle of test_pairs,
+all gentle, and the random presentations of test_quiver, which break G3
+and G4 and may be infinite dimensional.
 """
 
 import random
 
 import pytest
-from test_pairs import reference_ap_paths
+from test_pairs import reference_ap_paths, two_cycle_presentation
 from test_periodicity import loop_quivers, reference_complex
 from test_quiver import random_small_presentation
 
@@ -32,7 +33,8 @@ def corpus(group):
                 for n in range(4, 9) for d in generate_polygon_triangulations(n)]
     if group == "loop quivers":
         return [("loop quiver %d" % i, GentlePresentation(Quiver(v, a), (), r), 12)
-                for i, (v, a, r) in enumerate(loop_quivers(44, seed=0))]
+                for i, (v, a, r) in enumerate(loop_quivers(44, seed=0))] + [
+                    ("two-cycle", two_cycle_presentation(), 12)]
     # without G3 a level of n arrows can hold 8 * 3^(n - 1) chains
     rng = random.Random(20261019)
     return [("random %d" % i, random_small_presentation(rng), 6) for i in range(300)]
@@ -87,11 +89,10 @@ def test_levels_come_out_in_path_order_without_sorting(group, monkeypatch):
 def filtered_rr_sets(p, n):
     """The degree-n families as predicate filters over the degree-n pairs,
     one pass per family."""
-    relations, neighbours = p.relations, p.neighbours
+    relations = p.relations
     pairs = p.parallel_pairs(n)
     fields = dict(ap=p.zero_paths(n), pairs=pairs, set_a=(), zero_zero=(),
-                  complete=(), incomplete=(), complete0=(), gentle_complete=(),
-                  empty_incomplete=(),
+                  complete=(), empty_incomplete=(),
                   loop_pairs=tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
                                    for a in p.quiver.arrows if a.source == a.target),
                   gentle_orbits=0)
@@ -107,18 +108,9 @@ def filtered_rr_sets(p, n):
     cyclic = [(rho, g) for rho, g in pairs if not g.arrows]
     complete = fields["complete"] = tuple(
         (rho, g) for rho, g in cyclic if (rho.arrows[-1], rho.arrows[0]) in relations)
-    incomplete = fields["incomplete"] = tuple(
+    incomplete = tuple(
         (rho, g) for rho, g in cyclic if (rho.arrows[-1], rho.arrows[0]) not in relations)
-    complete0 = fields["complete0"] = tuple(
-        (rho, g) for rho, g in complete
-        if set(neighbours[rho.arrows[0]].rel_before) <= {rho.arrows[-1]}
-        and set(neighbours[rho.arrows[-1]].rel_after) <= {rho.arrows[0]})
-    in_complete0 = {rho for rho, _ in complete0}
-    gentle = [orbit for orbit in _orbits(p, (rho for rho, _ in complete))
-              if in_complete0.issuperset(orbit)]
-    fields["gentle_complete"] = tuple(
-        (rho, g) for rho, g in complete if any(rho in orbit for orbit in gentle))
-    fields["gentle_orbits"] = len(gentle)
+    fields["gentle_orbits"] = len(_orbits(p, (rho for rho, _ in complete)))
     fields["empty_incomplete"] = tuple(
         (rho, g) for rho, g in incomplete if rho.source not in p.relation_midpoints)
     return ParallelPairFamily(**fields)
@@ -128,16 +120,15 @@ def filtered_rr_sets(p, n):
 EXERCISED = {
     "fixtures": ("complete", "zero_zero"),
     "polygons 4..8": ("complete",),
-    "loop quivers": ("loop_pairs", "complete", "zero_zero"),
-    "random presentations": ("loop_pairs", "complete", "complete0 short",
-                             "zero_zero", "empty_incomplete"),
+    "loop quivers": ("loop_pairs", "complete", "zero_zero", "empty_incomplete"),
+    "random presentations": ("loop_pairs", "complete", "zero_zero",
+                             "empty_incomplete"),
 }
 
 
 @pytest.mark.parametrize("group", CORPORA)
 def test_one_pass_rr_families_equal_the_predicate_filters(group):
-    seen = dict.fromkeys(("loop_pairs", "complete", "complete0 short", "zero_zero",
-                          "empty_incomplete"), 0)
+    seen = dict.fromkeys(("loop_pairs", "complete", "zero_zero", "empty_incomplete"), 0)
     for name, p, top in corpus(group):
         if finite_basis(p) is None:
             continue
@@ -148,7 +139,6 @@ def test_one_pass_rr_families_equal_the_predicate_filters(group):
                     (name, n, field)
             seen["loop_pairs"] += bool(family.loop_pairs)
             seen["complete"] += bool(family.complete)
-            seen["complete0 short"] += len(family.complete0) < len(family.complete)
             seen["zero_zero"] += bool(family.zero_zero)
             seen["empty_incomplete"] += bool(family.empty_incomplete)
     assert all(seen[family] for family in EXERCISED[group]), seen

@@ -66,9 +66,12 @@ def test_complete_incomplete_partition_and_mod3():
     for n in range(2, 14):
         fam = rr_sets(p, n)
         cyclic = [(rho, g) for rho, g in fam.pairs if not g.arrows]
-        assert len(fam.complete) + len(fam.incomplete) == len(cyclic)
+        closed = [(rho, g) for rho, g in cyclic
+                  if (rho.arrows[-1], rho.arrows[0]) in p.relations]
+        assert list(fam.complete) == closed
         if n % 3 == 0:
-            assert len(fam.gentle_complete) == len(fam.complete0) == len(cyclic) == 9
+            assert len(fam.complete) == len(cyclic) == 9
+            assert fam.gentle_orbits == 3
         else:
             assert cyclic == []
 
@@ -76,8 +79,8 @@ def test_complete_incomplete_partition_and_mod3():
 def test_rotation_orbits_have_order_three():
     p = presentation_for("fig8")
     fam = rr_sets(p, 6)
-    assert len(fam.gentle_complete) == 9
-    for rho, _ in fam.gentle_complete:
+    assert len(fam.complete) == 9
+    for rho, _ in fam.complete:
         assert rotate(p, rho) != rho
         # order 3, which divides the degree
         assert rotate(p, rotate(p, rotate(p, rho))) == rho
@@ -85,7 +88,7 @@ def test_rotation_orbits_have_order_three():
 
 def test_rotate_round_trip():
     p = presentation_for("fig8")
-    for rho, _ in rr_sets(p, 3).gentle_complete:
+    for rho, _ in rr_sets(p, 3).complete:
         assert rotate(p, rotate(p, rotate(p, rho))) == rho
 
 
@@ -152,9 +155,31 @@ def test_rr_rejects_a_disconnected_quiver(vertices, ends, nmax, unreached, oracl
     assert hh_dims_oracle(build_complex(p, nmax), 0, nmax).dims == oracle
 
 
+def two_cycle_presentation():
+    """Gentle and finite, with no period: a: v0 -> v1 and b: v1 -> v0
+    under the one relation (a, b).  Its degree-2 zero path ab is a cycle
+    at v0 that no relation closes, and v0 is no relation's midpoint, so
+    (ab, e_v0) is an empty_incomplete pair, which no surface has."""
+    return GentlePresentation(Quiver(("v0", "v1"), (Arrow(0, 0, 1), Arrow(1, 1, 0))),
+                              (), {(0, 1)})
+
+
+def test_rr_counts_the_empty_incomplete_pair_of_the_two_cycle():
+    p = two_cycle_presentation()
+    assert p.violations == () and not p.periodic
+    (pair,) = rr_sets(p, 2).empty_incomplete
+    assert pair == (Path(0, (0, 1)), Path(0, ()))
+    complex_ = build_complex(two_cycle_presentation(), 12)
+    for char in (0, 2, 3, 5):
+        for nmax in range(1, 13):
+            expected = ((2, 1, 1) + (0,) * 10)[:nmax + 1]
+            assert hh_dims_rr(p, char, nmax).dims == expected, (char, nmax)
+            assert hh_dims_oracle(complex_, char, nmax).dims == expected, (char, nmax)
+
+
 # Brute-force references: AP_n rebuilt from scratch for every degree, the
-# pair scan over AP_n x basis, the complete0 test over every arrow, and the
-# orbit count as the number of distinct rotation orbits.
+# pair scan over AP_n x basis, and the orbit count as the number of
+# distinct rotation orbits.
 
 def reference_ap_paths(p, n):
     if n == 0:
@@ -186,15 +211,8 @@ def reference_rr_sets(p, n):
         return (all((b, first) in relations for b in into(arrows[first].source))
                 and all((last, b) in relations for b in out_of(arrows[last].target)))
 
-    def is_complete0(rho):
-        first, last = rho.arrows[0], rho.arrows[-1]
-        return not any((g.idx != last and (g.idx, first) in relations)
-                       or (g.idx != first and (last, g.idx) in relations)
-                       for g in arrows)
-
     fields = dict(ap=tuple(ap), pairs=pairs, set_a=(), zero_zero=(),
-                  complete=(), incomplete=(), complete0=(), gentle_complete=(),
-                  empty_incomplete=(),
+                  complete=(), empty_incomplete=(),
                   loop_pairs=tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
                                    for a in arrows if a.source == a.target),
                   gentle_orbits=0)
@@ -210,11 +228,8 @@ def reference_rr_sets(p, n):
     cyclic = [(rho, g) for rho, g in pairs if not g.arrows]
     fields["complete"] = tuple((rho, g) for rho, g in cyclic
                                if (rho.arrows[-1], rho.arrows[0]) in relations)
-    fields["incomplete"] = tuple((rho, g) for rho, g in cyclic
-                                 if (rho.arrows[-1], rho.arrows[0]) not in relations)
-    fields["complete0"] = tuple((rho, g) for rho, g in fields["complete"]
-                                if is_complete0(rho))
-    complete0 = {rho for rho, _ in fields["complete0"]}
+    incomplete = [(rho, g) for rho, g in cyclic
+                  if (rho.arrows[-1], rho.arrows[0]) not in relations]
 
     def orbit(rho):
         out = [rho]
@@ -222,13 +237,10 @@ def reference_rr_sets(p, n):
             out.append(rotate(p, out[-1]))
         return out
 
-    fields["gentle_complete"] = tuple(
-        (rho, g) for rho, g in fields["complete"]
-        if all(r in complete0 for r in orbit(rho)))
     fields["gentle_orbits"] = len({frozenset(orbit(rho))
-                                   for rho, _ in fields["gentle_complete"]})
+                                   for rho, _ in fields["complete"]})
     midpoints = {arrows[a].target for a, _ in relations}
-    fields["empty_incomplete"] = tuple((rho, g) for rho, g in fields["incomplete"]
+    fields["empty_incomplete"] = tuple((rho, g) for rho, g in incomplete
                                        if rho.source not in midpoints)
     return ParallelPairFamily(**fields)
 
@@ -236,10 +248,9 @@ def reference_rr_sets(p, n):
 def extra_relation_presentation(side, k):
     """Not gentle: the 3-cycle 0 -> 1 -> 2 -> 0 of arrows 0, 1, 2 (arrow i
     leaves vertex i) under its three relations, plus arrows 3 -> k and
-    k -> 4 and one more relation at vertex k, into or out of the cycle.  It
-    is the only way to reach the complete0 predicate, which holds for every
-    complete pair of a gentle presentation.  At k = 0 the chain that fails
-    it is the first complete pair in basis order, at k = 1 it is not."""
+    k -> 4 and one more relation at vertex k, into or out of the cycle,
+    which breaks G3 there.  rr refuses it; the families and the oracle
+    still serve it."""
     arrows = (Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 2, 0), Arrow(3, 3, k),
               Arrow(4, k, 4))
     extra = (3, k) if side == "in" else ((k - 1) % 3, 4)
@@ -300,7 +311,7 @@ def test_rr_families_match_the_brute_force_scan(group):
                     (name, n, field)
             assert family == reference
             if group == "extra relations" and n % 3 == 0 and n:
-                assert (len(family.complete), len(family.complete0)) == (3, 2)
+                assert len(family.complete) == 3
 
 
 # References for the orbit counts: the coinvariant dimension as the
@@ -308,7 +319,7 @@ def test_rr_families_match_the_brute_force_scan(group):
 # as the least k with rotate^k(rho) == rho.
 
 def reference_coinvariant_dim(p, family, char):
-    members = [rho for rho, _ in family.gentle_complete]
+    members = [rho for rho, _ in family.complete]
     index = {rho: i for i, rho in enumerate(members)}
     rows = []
     for j, rho in enumerate(members):

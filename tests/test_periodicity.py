@@ -10,7 +10,7 @@ import random
 
 import pytest
 from test_cochain import random_polygon, replaced
-from test_pairs import extra_relation_presentation
+from test_pairs import extra_relation_presentation, two_cycle_presentation
 
 from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError, Path,
                       Quiver, build_complex, build_quiver, build_surface,
@@ -82,6 +82,20 @@ def chain_presentation(length):
                               (), {(i, i + 1) for i in range(length - 1)})
 
 
+def four_vertex_presentation(ends, relation):
+    """The arrows ``ends`` on v0..v3 under the one ``relation``, whose
+    zero path of degree 2 ends the zero paths: finite, connected and
+    without a period."""
+    return GentlePresentation(Quiver(("v0", "v1", "v2", "v3"),
+                                     tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))),
+                              (), {relation})
+
+
+# the first condition each presentation of the "not periodic" group breaks
+NOT_GENTLE = {"in at v0": "G3", "in at v1": "G3", "out at v0": "G3", "out at v1": "G3",
+              "three arrows out of v0": "G1", "two free arrows after v0->v1": "G4"}
+
+
 def instances(group):
     """(name, presentation factory, nmax) for one group."""
     if group == "fixtures":
@@ -96,9 +110,14 @@ def instances(group):
         surface = fixture_by_name("torus-T1").surface
         return [("torus-T1", lambda: build_quiver(surface._replace()), nmax)]
     else:
-        made = [("chain 4", lambda: chain_presentation(4))]
+        made = [("chain 4", lambda: chain_presentation(4)),
+                ("two-cycle", two_cycle_presentation)]
         made += [("%s at v%d" % (side, k), lambda side=side, k=k: extra_relation_presentation(side, k))
                  for side in ("in", "out") for k in (0, 1)]
+        made += [("three arrows out of v0",
+                  lambda: four_vertex_presentation(((0, 1), (0, 2), (0, 3), (1, 0)), (3, 0))),
+                 ("two free arrows after v0->v1",
+                  lambda: four_vertex_presentation(((0, 1), (1, 2), (1, 3), (2, 0)), (1, 3)))]
         return [(name, make, 30) for name, make in made]
     # an equal copy of the surface, so build_quiver cannot hand back the
     # presentation of the previous call
@@ -117,11 +136,21 @@ def test_periodic_tables_equal_the_full_build(group):
         assert p.periodic == (group != "not periodic"), name
         complex_ = build_complex(p, nmax)
         full = reference_complex(reference, nmax)
+        # rr refuses a presentation that is not gentle; the oracle serves it
+        violations = check_gentle(reference)
+        condition = violations[0].condition if violations else None
+        assert condition == NOT_GENTLE.get(name), name
         for char in CHARS:
             assert hh_dims_oracle(complex_, char, nmax).dims == reference_oracle(*full, char), \
                 (name, char)
+            if condition:
+                with pytest.raises(ValueError,
+                                   match="rr needs a gentle presentation: %s: " % condition):
+                    hh_dims_rr(p, char, nmax)
+                continue
             assert hh_dims_rr(p, char, nmax).dims == reference_rr(reference, char, nmax), \
                 (name, char)
+        assert (p.rr_counts is None) == bool(condition), name
 
 
 @pytest.mark.parametrize("group", GROUPS[:3])
