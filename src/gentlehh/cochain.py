@@ -34,10 +34,10 @@ D_{n+6} = D_n for n >= 3 (and D_{n+3} = D_n mod 2).
 :func:`build_complex` then builds degrees 0..9 only, checks the shift
 on the bases it built, D_{n+3} = D_n mod 2 and D_9 == D_3, and every
 later degree, over every field, reuses the basis size and the form of
-the built degree congruent to it mod 6.  That one period is built on
-first use, whatever nmax is asked, and serves every nmax.  Presentations
-whose zero paths do not repeat (none comes from a surface) are built up
-to nmax + 1 by the same loop.
+the built degree congruent to it mod 6.  Presentations whose zero paths
+do not repeat (none comes from a surface) are built up to nmax + 1 by
+the same loop.  Which builds a presentation keeps is stated once, on
+:class:`quiver.GentlePresentation`.
 """
 
 from typing import NamedTuple
@@ -78,23 +78,16 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     when the zero paths repeat, whatever nmax is, else degrees 0..nmax + 1.
     D_{n+1} D_n = 0 is asserted over the integers on every degree built,
     and the period on every build that uses it; basis enumeration may
-    raise :class:`InfiniteDimensionalError`.
-
-    The presentation keeps one build, in ``presentation.complex``.  It is
-    handed back when it has a period or holds degrees 0..nmax + 1;
-    otherwise this builds again from degree 0 and, once every check
-    passes, replaces it.  So a periodic presentation builds its one period
-    on first use and only a presentation without one, asked a larger
-    nmax, builds twice.  :func:`build_quiver` shares a presentation only
-    for the same surface object, which is immutable, so the kept complex
-    always belongs to its quiver.  Its bases are the presentation's
-    levels, not copies.
+    raise :class:`InfiniteDimensionalError`.  The period is kept in
+    ``presentation.complex`` and handed back on every later call.
+    :func:`build_quiver` shares a presentation only for the same surface
+    object, which is immutable, so the kept complex always belongs to its
+    quiver.  Its bases are the presentation's levels, not copies.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    kept = presentation.complex
-    if kept is not None and (kept.period or len(kept.bases) > nmax + 1):
-        return kept
+    if presentation.complex is not None:
+        return presentation.complex
     period = PERIOD if presentation.periodic else 0
     bases, differentials = [], [None]
     arrows = presentation.quiver.arrows
@@ -145,7 +138,7 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     verify_complex_property(complex_)
     if period:
         verify_period(presentation, complex_)
-    presentation.complex = complex_
+        presentation.complex = complex_
     return complex_
 
 
@@ -154,15 +147,13 @@ def verify_period(presentation: GentlePresentation, complex_: CochainComplex):
     bases[n] with every zero path shifted by one turn, position for
     position and with the same basis path; D_{n+3} = D_n mod 2 for
     n >= PERIOD_START; and the last built differential equals the one a
-    period below, row for row.  Each turn is read once, off the shift of
-    a degree-2 zero path, and each built D_n is reduced mod 2 once."""
+    period below, row for row.  Each zero path is shifted by
+    :meth:`GentlePresentation.shift`, and each built D_n is reduced mod 2
+    once."""
     bases, differentials = complex_.bases, complex_.differentials
-    turns = {rho.arrows[0]: presentation.shift(rho).arrows[:-2]
-             for rho in presentation.zero_paths(2)}
+    shift = presentation.shift
     for n in range(2, len(bases) - 3):
-        # a plain (source, arrows) tuple compares as the Path
-        if bases[n + 3] != tuple([((rho.source, turns[rho.arrows[0]] + rho.arrows), gamma)
-                                  for rho, gamma in bases[n]]):
+        if bases[n + 3] != tuple([(shift(rho), gamma) for rho, gamma in bases[n]]):
             raise AssertionError(
                 "bases[%d] is not bases[%d] shifted by one turn" % (n + 3, n))
 

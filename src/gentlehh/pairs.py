@@ -22,11 +22,12 @@ the degree-n pairs onto the degree-(n+3) pairs that keeps the first and
 the last arrow of rho, both endpoints and the basis path, which is all
 the zero_zero, empty_incomplete and complete predicates read;
 on a complete chain it also commutes with rotation, so the orbits match
-too.  :func:`hh_dims_rr` then enumerates degrees 0..5 on first use,
-whatever nmax is asked, checks the counts of degree 5 against degree 2,
-and repeats degrees 3..5 with period 3 for every nmax.  Presentations
-whose zero paths do not repeat (none comes from a surface) enumerate
-degrees 0..nmax.
+too.  :func:`hh_dims_rr` then enumerates degrees 0..5 only, checks the
+counts of degree 5 against degree 2, and repeats degrees 3..5 with
+period 3 for every nmax.  Presentations whose zero paths do not repeat
+(none comes from a surface) enumerate degrees 0..nmax.  Which counts a
+presentation keeps is stated once, on
+:class:`quiver.GentlePresentation`.
 """
 
 from typing import NamedTuple
@@ -187,22 +188,18 @@ def _unreachable_vertex(quiver) -> int | None:
     return next((v for v in range(len(quiver.vertices)) if v not in reached), None)
 
 
-def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple:
+def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple | list:
     """The characteristic-free counts :func:`hh_dims_rr` combines, one per
     degree enumerated: entry 0 is the number of degree-0 annihilated
     cycle pairs and entry n >= 1 the zero_zero and empty_incomplete sizes
     and the complete orbits of degree n.  When the zero paths repeat
-    they stop at RR_BUILT_TOP, whatever nmax is, and later degrees repeat
-    the counts three below; else they cover 0..nmax.  The connectivity,
-    gentleness and period checks run on every enumeration.
-
-    The presentation keeps one tuple of counts, like its complex
-    (:func:`cochain.build_complex`): it serves when the zero paths repeat
-    or it holds degrees 0..nmax, else the counts are enumerated again
-    from degree 0 and, once every check passes, replace it."""
-    counts, periodic = presentation.rr_counts, presentation.periodic
-    if counts is not None and (periodic or len(counts) > nmax):
-        return counts
+    they stop at RR_BUILT_TOP, whatever nmax is, later degrees repeat the
+    counts three below, and ``presentation.rr_counts`` keeps them as a
+    tuple; else they cover 0..nmax, in a list kept nowhere.  The
+    connectivity, gentleness and period checks run on every
+    enumeration."""
+    if presentation.rr_counts is not None:
+        return presentation.rr_counts
     quiver = presentation.quiver
     unreached = _unreachable_vertex(quiver)
     if unreached is not None:
@@ -214,14 +211,15 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple:
         raise ValueError("rr needs a gentle presentation: %s: %s"
                          % (violation.condition, violation.message))
     counts = []
-    for n in range((RR_BUILT_TOP if periodic else nmax) + 1):
+    for n in range((RR_BUILT_TOP if presentation.periodic else nmax) + 1):
         f = rr_sets(presentation, n)
         counts.append((len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
                       if n else len(f.set_a))
-    if periodic and counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
+    if presentation.periodic and counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
         raise AssertionError("rr counts of degree %d differ from degree %d"
                              % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
-    counts = presentation.rr_counts = tuple(counts)
+    if presentation.periodic:
+        counts = presentation.rr_counts = tuple(counts)
     return counts
 
 
@@ -239,12 +237,13 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     failing a :func:`quiver.check_gentle` condition, is a ValueError naming the
     first fault.  The oracle serves any quadratic monomial presentation.
 
-    The counts depend on neither the characteristic nor nmax: only the
-    extension by the period and the weighted sum run per call, on the
-    counts ``presentation.rr_counts`` keeps.  The tail note names the
-    period only past RR_BUILT_TOP, where it is read.  :func:`build_quiver`
-    hands the same presentation back only for the same surface object, so
-    the kept counts always belong to the quiver they are read with.
+    The counts depend on neither the characteristic nor nmax, so with a
+    period only the extension by the period and the weighted sum run per
+    call, on the counts ``presentation.rr_counts`` keeps.  The tail note
+    names the period only past RR_BUILT_TOP, where it is read.
+    :func:`build_quiver` hands the same presentation back only for the
+    same surface object, so the kept counts always belong to the quiver
+    they are read with.
     """
     check_characteristic(characteristic)
     if nmax < 1:

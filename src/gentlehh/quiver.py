@@ -101,15 +101,17 @@ class GentlePresentation:
     paths by (source, target), in basis order), the parallel-pair levels,
     ``periodic`` (whether the levels repeat under :meth:`shift`) and
     ``violations`` (the gentleness check).
-    ``complex`` and ``rr_counts`` keep the one build each of
-    :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr`, checked
-    when built.  When the levels repeat that build is one period, made on
-    first use whatever nmax is asked, and it serves every nmax; otherwise
-    it holds the degrees of the largest nmax asked so far, a smaller nmax
-    reads its first degrees and a larger one builds again from degree 0.
-    Nothing kept holds a characteristic or an nmax, so one presentation
-    serves every characteristic; it changes only by filling these caches
-    or replacing a kept build.
+    ``complex`` and ``rr_counts`` keep the build each of
+    :func:`cochain.build_complex` and :func:`pairs.hh_dims_rr` when the
+    levels repeat: one period, made on first use whatever nmax is asked,
+    set once every check on it passes and never replaced, serving every
+    nmax.  Without a period both stay None, and each call builds the
+    degrees its nmax needs.  Nothing kept holds a characteristic or an
+    nmax, so one presentation serves every characteristic; it changes
+    only by filling these caches, each once.
+
+    Arrow ends must be vertex ids 0..|Q0| - 1 and each relation a
+    composable pair of arrow ids 0..|Q1| - 1, else ValueError.
     """
 
     def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
@@ -119,10 +121,12 @@ class GentlePresentation:
         # the neighbour lists, and so the path levels, rely on ascending ids
         if any(a.idx != i for i, a in enumerate(quiver.arrows)):
             raise ValueError("arrow ids must be the positions 0, 1, ... of the arrows")
-        for first, second in relations:
-            a, b = quiver.arrows[first], quiver.arrows[second]
-            if a.target != b.source:
-                raise ValueError("relation %d,%d is not a composable pair" % (first, second))
+        vertex_ids = range(len(quiver.vertices))
+        # the adjacency maps are keyed by the arrow ends
+        stray = set(quiver.outgoing).union(quiver.incoming).difference(vertex_ids)
+        if stray:
+            raise ValueError("arrow ends %s are not vertex ids 0..%d"
+                             % (sorted(stray, key=repr), len(vertex_ids) - 1))
         self._zero_paths = []
         self._parallel_pairs = []
         self.complex = None
@@ -130,11 +134,8 @@ class GentlePresentation:
         self.loops = tuple(a for a in quiver.arrows if a.source == a.target)
         self.loop_pairs = tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
                                 for a in self.loops)
-        self.relation_midpoints = frozenset(
-            quiver.arrows[first].target for first, _ in relations)
         outgoing, incoming = quiver.outgoing, quiver.incoming
-        self._isolated = frozenset(range(len(quiver.vertices))).difference(
-            outgoing, incoming)
+        self._isolated = frozenset(vertex_ids).difference(outgoing, incoming)
         table = []
         for a in quiver.arrows:
             rel_before, free_before, rel_after, free_after = [], [], [], []
@@ -146,7 +147,15 @@ class GentlePresentation:
                                     tuple(rel_after), tuple(free_after)))
         self.neighbours = tuple(table)
         self._rel_after = [nb.rel_after for nb in table]
+        # the table lists each relation that is a composable pair of arrow
+        # ids once, and no other
+        if sum(map(len, self._rel_after)) != len(relations):
+            found = {(a, b) for a, after in enumerate(self._rel_after) for b in after}
+            raise ValueError("relations %s are not composable pairs of arrow ids 0..%d"
+                             % (sorted(relations - found, key=repr), len(quiver.arrows) - 1))
         self._targets = [a.target for a in quiver.arrows]
+        self.relation_midpoints = frozenset(
+            self._targets[a] for a, after in enumerate(self._rel_after) if after)
 
         # a -> (a, b, c) when b is the only relation successor of a, c the
         # only one of b and a the only one of c: one turn of a relation 3-cycle

@@ -150,7 +150,9 @@ def test_periodic_tables_equal_the_full_build(group):
                 continue
             assert hh_dims_rr(p, char, nmax).dims == reference_rr(reference, char, nmax), \
                 (name, char)
-        assert (p.rr_counts is None) == bool(condition), name
+        # a presentation keeps a build only when it is the verified period
+        assert (p.complex is None) == (not p.periodic), name
+        assert (p.rr_counts is None) == (bool(condition) or not p.periodic), name
 
 
 @pytest.mark.parametrize("group", GROUPS[:3])

@@ -1,16 +1,17 @@
 """A table at nmax k is the first k + 1 entries of the table at nmax 20.
 
-A presentation keeps one complex and one set of rr counts.  On a
-surface they are one period, built at the first nmax asked, and every
-nmax reads them; without a period they hold the degrees of the largest
-nmax asked so far, and a larger nmax builds them again from degree 0.
-So one presentation is asked at nmax 1..20 in ascending order and then
-in descending order, and every answer must be the prefix of a fresh
-presentation's nmax-20 table.  The closed formulas keep nothing, and
-are checked the same way.
+A presentation keeps its complex and its rr counts only when they are
+the verified period, built at the first nmax asked, and every nmax
+reads them; without a period it keeps nothing, and each call builds the
+degrees its nmax needs.  So one presentation is asked at nmax 1..20 in
+ascending order and then in descending order, every answer must be the
+prefix of a fresh presentation's nmax-20 table, and the presentation
+must hold its first build throughout, or none.  The closed formulas
+keep nothing, and are checked the same way.
 """
 
 import pytest
+from test_pairs import two_cycle_presentation
 from test_periodicity import chain_presentation, loop_quivers
 
 from gentlehh import (GentlePresentation, Quiver, ag_invariant, build_complex,
@@ -40,10 +41,15 @@ def assert_prefixes(name, tables, shared, fresh):
     """``tables(p, char, nmax)`` on the ``shared`` presentation at every
     nmax of ORDER against the nmax-TOP tables of the ``fresh`` one."""
     full = {char: tables(fresh, char, TOP) for char in CHARS}
+    kept = None
     for nmax in ORDER:
         for char in CHARS:
             expected = {method: dims[:nmax + 1] for method, dims in full[char].items()}
             assert tables(shared, char, nmax) == expected, (name, nmax, char)
+            if kept is None:
+                kept = shared.complex, shared.rr_counts
+            assert shared.complex is kept[0] and shared.rr_counts is kept[1], (name, nmax)
+    assert (kept[0] is None) == (kept[1] is None) == (not shared.periodic), name
 
 
 def surfaces():
@@ -65,10 +71,12 @@ def test_every_table_is_a_prefix_of_the_largest_on_surfaces():
                         shared, fresh)
 
 
-@pytest.mark.parametrize("kind", ("chain", "loops"))
+@pytest.mark.parametrize("kind", ("chain", "two-cycle", "loops"))
 def test_every_table_is_a_prefix_of_the_largest_on_quivers(kind):
     if kind == "chain":
         pairs = [("chain 4", chain_presentation(4), chain_presentation(4))]
+    elif kind == "two-cycle":
+        pairs = [("two-cycle", two_cycle_presentation(), two_cycle_presentation())]
     else:
         pairs = [("loop quiver %d" % i,
                   GentlePresentation(Quiver(vertices, arrows), (), relations),

@@ -338,6 +338,30 @@ def test_incomposable_relation_rejected():
         GentlePresentation(quiver, relations={(0, 1)})
 
 
+THREE_CYCLE = Quiver(("u", "v", "w"), (Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 2, 0)))
+
+
+@pytest.mark.parametrize("quiver, relations, message", [
+    pytest.param(Quiver(("u", "v"), (Arrow(0, 0, 1), Arrow(1, 1, 5))), (),
+                 r"arrow ends \[5\] are not vertex ids 0\.\.1", id="target"),
+    pytest.param(Quiver(("u", "v"), (Arrow(0, -1, 1),)), (),
+                 r"arrow ends \[-1\] are not vertex ids", id="source"),
+    # a negative id would index from the end, and be dropped from the neighbour lists
+    pytest.param(THREE_CYCLE, {(-1, 0)},
+                 r"relations \[\(-1, 0\)\] are not composable pairs of arrow ids 0\.\.2",
+                 id="negative"),
+    pytest.param(THREE_CYCLE, {(2, 3)},
+                 r"relations \[\(2, 3\)\] are not", id="too-large"),
+    pytest.param(THREE_CYCLE, {(0, 1, 2)},
+                 r"relations \[\(0, 1, 2\)\] are not", id="not-a-pair"),
+    pytest.param(THREE_CYCLE, {(0, 2)},
+                 r"relations \[\(0, 2\)\] are not", id="not-composable"),
+])
+def test_ids_outside_the_quiver_rejected(quiver, relations, message):
+    with pytest.raises(ValueError, match=message):
+        GentlePresentation(quiver, relations=relations)
+
+
 def test_arrow_ids_out_of_position_rejected():
     # the neighbour lists, and so the unsorted path levels, are in id order
     # only when each arrow's id is its position

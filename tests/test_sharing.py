@@ -3,12 +3,12 @@
 build_quiver hands back its last presentation for the same surface
 object, and that presentation keeps one complex and one set of rr
 counts, so crosscheck's char 0 and char 2 analyses of a surface share
-everything that does not depend on the characteristic.  Every surface's
-zero paths repeat, so both are one period, built on first use whatever
-nmax is asked, and serve every nmax.  A presentation without a period
-(the chain quiver here) keeps the build of the largest nmax asked so
-far: a smaller nmax reads its first degrees and a larger one builds
-again from degree 0.
+everything that does not depend on the characteristic.  A presentation
+keeps a build only when it is the verified period: every surface's zero
+paths repeat, so both are one period, built on first use whatever nmax
+is asked, and serve every nmax.  A presentation without a period (the
+chain quiver here) keeps nothing, and each call builds the degrees its
+nmax needs.
 """
 
 import gc
@@ -107,21 +107,25 @@ def test_a_larger_nmax_extends_the_kept_build(monkeypatch):
 
 
 def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
-    # torus-T1 repeats, so even nmax 1 builds the periodic complex that
-    # every later nmax reads, and enumerates the rr period
+    # torus-T1 repeats, so even nmax 1 builds the periodic complex and
+    # enumerates the rr period, and each first build is the object every
+    # later nmax and characteristic gets back
     p = build_quiver(fixture_by_name("torus-T1").surface._replace())
     families = counting(monkeypatch, pairs_module, "rr_sets")
     first = build_complex(p, 1)
     assert first.period and len(first.bases) == 10
+    hh_dims_rr(p, 0, 1)
+    counts = p.rr_counts
     for nmax in (1, 8, 13, 60):
         assert build_complex(p, nmax) is first is p.complex, nmax
-    for nmax in (1, 13):
-        hh_dims_rr(p, 0, nmax)
+        for char in (0, 2, 3):
+            hh_dims_rr(p, char, nmax)
+            assert p.rr_counts is counts, (nmax, char)
+    assert type(counts) is tuple
     assert [n for _, n in families] == list(range(6))
 
-    # without a period a larger nmax builds again from degree 0, on the
-    # presentation's levels, and a smaller one reads the first degrees of
-    # the kept build
+    # without a period each call builds the degrees its nmax needs, on the
+    # presentation's levels, and the presentation keeps neither build
     checks = counting(monkeypatch, cochain_module, "verify_complex_property")
     del families[:]
     p, reference = chain_presentation(4), chain_presentation(4)
@@ -132,12 +136,12 @@ def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
             assert (hh_dims_oracle(built[nmax], char, nmax).dims
                     == reference_oracle(*reference_complex(reference, nmax), char)), nmax
             assert hh_dims_rr(p, char, nmax).dims == reference_rr(reference, char, nmax)
-    assert build_complex(p, 35) is built[40] is p.complex
-    assert len(checks) == 2
-    assert built[10] is built[30] is not built[40]
-    assert [len(b.bases) for b in built.values()] == [32, 32, 42]
+        assert p.complex is None and p.rr_counts is None, nmax
+    assert len(checks) == 3
+    assert [len(b.bases) for b in built.values()] == [32, 12, 42]
     assert all(a is b for a, b in zip(built[30].bases, built[40].bases))
-    assert [n for _, n in families] == list(range(31)) + list(range(41))
+    assert [n for _, n in families] == [n for nmax in (30, 10, 40) for _ in (0, 2)
+                                        for n in range(nmax + 1)]
 
 
 def test_cached_objects_serve_every_characteristic():
