@@ -21,23 +21,17 @@ rank over Q and its Smith divisors 2, every other divisor being 1.  The
 characteristic enters only in :func:`hh_dims_oracle`, in one subtraction:
 over GF(2) a rank drops by the 2s, over GF(p), p odd, it is the rank over Q.
 
-Only one verified period is built.  When the presentation's zero paths
-repeat (``GentlePresentation.periodic``: AP_{n+3} is AP_n with one more
-turn in front of each chain, position for position, for n >= 2), so do
-the bases, since the shift keeps both endpoints and hence the parallel
-basis paths.  A row of D_n reads its columns through the tail and the
-head of rho, and for n >= 3 the shift commutes with both: it keeps the
-first and the last arrow, and the tail of a shifted chain is its tail
-shifted, because the turn of the second arrow is the turn of the first
-rotated.  So D_{n+3} is D_n with the sign of the head term flipped, and
-D_{n+6} = D_n for n >= 3 (and D_{n+3} = D_n mod 2).
-:func:`build_complex` then builds degrees 0..9 only, checks the shift
-on the bases it built, D_{n+3} = D_n mod 2 and D_9 == D_3, and every
-later degree, over every field, reuses the basis size and the form of
-the built degree congruent to it mod 6.  Presentations whose zero paths
-do not repeat (none comes from a surface) are built up to nmax + 1 by
-the same loop.  Which builds a presentation keeps is stated once, on
-:class:`quiver.GentlePresentation`.
+When the zero paths repeat (:attr:`quiver.GentlePresentation.periodic`),
+so do the bases, since the shift keeps both endpoints and hence the
+parallel basis paths.  A row of D_n reads its columns through the tail
+and the head of rho, and for n >= 3 the shift commutes with both: it
+keeps the first and the last arrow, and the tail of a shifted chain is
+its tail shifted, because the turn of the second arrow is the turn of
+the first rotated.  So D_{n+3} is D_n with the sign of the head term
+flipped, and D_{n+6} = D_n for n >= 3 (and D_{n+3} = D_n mod 2).  Hence
+:func:`build_complex` builds degrees 0..9 only, and every later degree,
+over every field, reuses the basis size and the form of the built degree
+congruent to it mod 6.
 """
 
 from typing import NamedTuple
@@ -77,12 +71,10 @@ def build_complex(presentation: GentlePresentation, nmax: int) -> CochainComplex
     """A complex that serves nmax: degrees 0..BUILT_TOP with the period
     when the zero paths repeat, whatever nmax is, else degrees 0..nmax + 1.
     D_{n+1} D_n = 0 is asserted over the integers on every degree built,
-    and the period on every build that uses it; basis enumeration may
-    raise :class:`InfiniteDimensionalError`.  The period is kept in
-    ``presentation.complex`` and handed back on every later call.
-    :func:`build_quiver` shares a presentation only for the same surface
-    object, which is immutable, so the kept complex always belongs to its
-    quiver.  Its bases are the presentation's levels, not copies.
+    and :func:`verify_period` on every build with a period; basis
+    enumeration may raise :class:`InfiniteDimensionalError`.  The bases
+    are the presentation's levels, not copies; what is kept follows
+    :class:`quiver.GentlePresentation`.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")

@@ -15,19 +15,12 @@ elsewhere are validated against these counts.
 Coinvariant dimensions are counted as rotation orbits, since rotation
 permutes the cyclic pairs: the rr method does no linear algebra.
 
-Only one verified period of degrees is enumerated.  When the zero paths
-repeat (``GentlePresentation.periodic``: AP_{n+3} is AP_n with one more
-turn in front of each chain, for n >= 2), the shift is a bijection from
-the degree-n pairs onto the degree-(n+3) pairs that keeps the first and
-the last arrow of rho, both endpoints and the basis path, which is all
-the zero_zero, empty_incomplete and complete predicates read;
-on a complete chain it also commutes with rotation, so the orbits match
-too.  :func:`hh_dims_rr` then enumerates degrees 0..5 only, checks the
-counts of degree 5 against degree 2, and repeats degrees 3..5 with
-period 3 for every nmax.  Presentations whose zero paths do not repeat
-(none comes from a surface) enumerate degrees 0..nmax.  Which counts a
-presentation keeps is stated once, on
-:class:`quiver.GentlePresentation`.
+When the zero paths repeat (:attr:`quiver.GentlePresentation.periodic`),
+the shift maps the degree-n pairs one to one onto the degree-(n+3) pairs
+and keeps the first and the last arrow of rho, both endpoints and the
+basis path, which is all the zero_zero, empty_incomplete and complete
+predicates read; on a complete chain it also commutes with rotation, so
+the orbits match too.  So the counts repeat with period 3 past degree 2.
 """
 
 from typing import NamedTuple
@@ -50,21 +43,18 @@ class ParallelPairFamily(NamedTuple):
     """All degree-n pair families of one presentation, for the degree n
     the caller passed to :func:`rr_sets`.
 
-    ``ap`` is the degree-n zero paths (arrow chains whose consecutive
-    pairs are relations) and ``pairs`` their parallel pairs with basis
-    paths, both the presentation's cached levels.  The remaining fields
-    are the subfamilies feeding the dimension formula; ``set_a`` is only
-    populated in degree 0 and ``loop_pairs`` is degree independent.
+    ``ap`` is the presentation's cached level of degree-n zero paths
+    (arrow chains whose consecutive pairs are relations).  The remaining
+    fields are the subfamilies of ``presentation.parallel_pairs(n)`` that
+    feed the dimension formula; ``set_a`` is only populated in degree 0.
     ``gentle_orbits`` is the number of rotation orbits of ``complete``.
     """
 
     ap: tuple[Path, ...]
-    pairs: tuple[tuple[Path, Path], ...]
     set_a: tuple[tuple[Path, Path], ...]
     zero_zero: tuple[tuple[Path, Path], ...]
     complete: tuple[tuple[Path, Path], ...]
     empty_incomplete: tuple[tuple[Path, Path], ...]
-    loop_pairs: tuple[tuple[Path, Path], ...]
     gentle_orbits: int
 
 
@@ -138,10 +128,9 @@ def rr_sets(presentation: GentlePresentation, n: int) -> ParallelPairFamily:
         assert all(complete_set.issuperset(orbit) for orbit in orbits)
 
     return ParallelPairFamily(
-        ap=ap, pairs=pairs, set_a=tuple(set_a),
-        zero_zero=tuple(zero_zero), complete=tuple(complete),
-        empty_incomplete=tuple(empty_incomplete),
-        loop_pairs=presentation.loop_pairs, gentle_orbits=len(orbits))
+        ap=ap, set_a=tuple(set_a), zero_zero=tuple(zero_zero),
+        complete=tuple(complete), empty_incomplete=tuple(empty_incomplete),
+        gentle_orbits=len(orbits))
 
 
 def coinvariant_dim(presentation: GentlePresentation, n: int,
@@ -192,15 +181,15 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple | list:
     """The characteristic-free counts :func:`hh_dims_rr` combines, one per
     degree enumerated: entry 0 is the number of degree-0 annihilated
     cycle pairs and entry n >= 1 the zero_zero and empty_incomplete sizes
-    and the complete orbits of degree n.  When the zero paths repeat
-    they stop at RR_BUILT_TOP, whatever nmax is, later degrees repeat the
-    counts three below, and ``presentation.rr_counts`` keeps them as a
-    tuple; else they cover 0..nmax, in a list kept nowhere.  The
-    connectivity, gentleness and period checks run on every
-    enumeration."""
+    and the complete orbits of degree n.  With a period they stop at
+    RR_BUILT_TOP, whatever nmax is, and degree 5 is checked against
+    degree 2; else they cover 0..nmax.  What is kept follows
+    :class:`quiver.GentlePresentation`."""
     if presentation.rr_counts is not None:
         return presentation.rr_counts
     quiver = presentation.quiver
+    if not quiver.vertices:
+        raise ValueError("rr needs a connected quiver: it has no vertices")
     unreached = _unreachable_vertex(quiver)
     if unreached is not None:
         raise ValueError("rr needs a connected quiver: vertex %s is not reachable "
@@ -215,10 +204,10 @@ def _rr_counts(presentation: GentlePresentation, nmax: int) -> tuple | list:
         f = rr_sets(presentation, n)
         counts.append((len(f.zero_zero), len(f.empty_incomplete), f.gentle_orbits)
                       if n else len(f.set_a))
-    if presentation.periodic and counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
-        raise AssertionError("rr counts of degree %d differ from degree %d"
-                             % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
     if presentation.periodic:
+        if counts[RR_BUILT_TOP] != counts[RR_BUILT_TOP - 3]:
+            raise AssertionError("rr counts of degree %d differ from degree %d"
+                                 % (RR_BUILT_TOP, RR_BUILT_TOP - 3))
         counts = presentation.rr_counts = tuple(counts)
     return counts
 
@@ -230,20 +219,13 @@ def hh_dims_rr(presentation: GentlePresentation, characteristic: int,
     Degree 0 counts the annihilated cycle pairs, degree 1 corrects the
     arrow surplus (plus the loop count in characteristic 2), and degree
     n >= 2 combines the two family counts with the parity-weighted
-    coinvariant dimensions of degrees n and n-1.  When the zero paths
-    repeat, degrees past RR_BUILT_TOP repeat the counts three below, and
-    the tail note says so.  The formulas hold for a connected gentle
-    presentation only: one with a vertex unreachable from vertex 0, or
-    failing a :func:`quiver.check_gentle` condition, is a ValueError naming the
-    first fault.  The oracle serves any quadratic monomial presentation.
-
-    The counts depend on neither the characteristic nor nmax, so with a
-    period only the extension by the period and the weighted sum run per
-    call, on the counts ``presentation.rr_counts`` keeps.  The tail note
-    names the period only past RR_BUILT_TOP, where it is read.
-    :func:`build_quiver` hands the same presentation back only for the
-    same surface object, so the kept counts always belong to the quiver
-    they are read with.
+    coinvariant dimensions of degrees n and n-1.  With a period, degrees
+    past RR_BUILT_TOP repeat the counts three below, and only then does
+    the tail note name the period.  The formulas hold for a connected
+    gentle presentation only: one without vertices, with a vertex
+    unreachable from vertex 0, or failing a :func:`quiver.check_gentle`
+    condition is a ValueError naming the first fault.  The oracle serves
+    any quadratic monomial presentation.
     """
     check_characteristic(characteristic)
     if nmax < 1:

@@ -88,7 +88,8 @@ class Neighbours(NamedTuple):
 
 
 class GentlePresentation:
-    """A bound quiver (Q, I) with quadratic monomial relations.
+    """A bound quiver (Q, I) with quadratic monomial relations: the quiver
+    and its relations are the whole input.
 
     ``relations`` is the set of forbidden length-two arrow pairs; the path
     basis is every path containing none of them.  ``neighbours``, built at
@@ -114,9 +115,8 @@ class GentlePresentation:
     composable pair of arrow ids 0..|Q1| - 1, else ValueError.
     """
 
-    def __init__(self, quiver: Quiver, potential_cycles=(), relations=frozenset()):
+    def __init__(self, quiver: Quiver, relations=frozenset()):
         self.quiver = quiver
-        self.potential_cycles = tuple(potential_cycles)
         self.relations = relations = frozenset(relations)
         # the neighbour lists, and so the path levels, rely on ascending ids
         if any(a.idx != i for i, a in enumerate(quiver.arrows)):
@@ -131,9 +131,8 @@ class GentlePresentation:
         self._parallel_pairs = []
         self.complex = None
         self.rr_counts = None
-        self.loops = tuple(a for a in quiver.arrows if a.source == a.target)
         self.loop_pairs = tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
-                                for a in self.loops)
+                                for a in quiver.arrows if a.source == a.target)
         outgoing, incoming = quiver.outgoing, quiver.incoming
         self._isolated = frozenset(vertex_ids).difference(outgoing, incoming)
         table = []
@@ -293,7 +292,7 @@ def _build_presentation(surface: TriangulatedSurface) -> GentlePresentation:
     index = {label: i for i, label in enumerate(vertices)}
 
     arrows = []
-    cycles = []
+    relations = set()
     internal = internal_triangles(surface)
     for t_idx, tri in enumerate(surface.triangles):
         s0, s1, s2 = tri.sides
@@ -302,13 +301,13 @@ def _build_presentation(surface: TriangulatedSurface) -> GentlePresentation:
             if here.kind == ARC and after.kind == ARC:
                 arrows.append(Arrow(len(arrows), index[here.label], index[after.label]))
         if t_idx in internal:
-            # ccw 3-cycle, created in a row: side0->side1, side1->side2, side2->side0
-            cycles.append((first, first + 1, first + 2))
+            # the ccw 3-cycle side0->side1, side1->side2, side2->side0, created
+            # in a row: its three length-two subpaths are the cyclic
+            # derivatives of the potential
+            relations.update(((first, first + 1), (first + 1, first + 2), (first + 2, first)))
 
     quiver = Quiver(vertices=tuple(vertices), arrows=tuple(arrows))
-    relations = {pair for c0, c1, c2 in cycles for pair in ((c0, c1), (c1, c2), (c2, c0))}
-
-    presentation = GentlePresentation(quiver, cycles, relations)
+    presentation = GentlePresentation(quiver, relations)
 
     problems = ["loop at %s" % quiver.vertices[a.source]
                 for a in arrows if a.source == a.target]

@@ -62,7 +62,11 @@ def summarize(surface: TriangulatedSurface) -> SurfaceSummary:
 
 def compute_tables(surface: TriangulatedSurface, characteristic: int,
                    nmax: int, methods=METHODS) -> dict:
-    """Run the requested dimension methods on one surface."""
+    """Run the requested dimension methods, a nonempty selection of
+    METHODS, on one surface; any other selection is a ValueError."""
+    if not methods or not set(methods).issubset(METHODS):
+        raise ValueError("methods must be a nonempty selection of %s, not %r"
+                         % (", ".join(METHODS), methods))
     tables = {}
     presentation = None
     if any(m in methods for m in ("rr", "oracle", "ladkani")):

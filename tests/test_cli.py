@@ -10,7 +10,7 @@ import pytest
 from gentlehh import (builtin_fixtures, cli, fileformat, fixture_by_name,
                       generate_polygon_triangulations)
 from gentlehh.pairs import HHTable
-from gentlehh.report import SurfaceSummary
+from gentlehh.report import METHODS, SurfaceSummary, analyze
 
 
 @pytest.fixture
@@ -53,6 +53,14 @@ def test_analyze_single_method(fixture_file, capsys):
     assert code == 0
     assert "oracle:" in out
     assert "geometric:" not in out
+
+
+@pytest.mark.parametrize("methods", [(), ("bogus",), ("rr", "bogus"), "rr"])
+def test_analyze_rejects_a_selection_outside_the_methods(methods):
+    # the command line restricts --method; a library caller gets a
+    # ValueError rather than a report without tables
+    with pytest.raises(ValueError, match="nonempty selection of %s" % ", ".join(METHODS)):
+        analyze(fixture_by_name("fig8").surface, 0, 5, methods=methods)
 
 
 def test_analyze_json_is_a_superset_of_text(fixture_file, capsys):

@@ -116,6 +116,8 @@ def test_fixture_expected_counts_hold():
         assert sint_count(s) == exp["single_boundary_side_triangles"]
         assert len(p.quiver.arrows) == exp["arrows"]
         assert len(p.relations) == exp["relations"]
+        # each internal triangle's 3-cycle gives three relations
+        assert exp["potential_cycles"] == len(p.relations) // 3 == len(internal_triangles(s))
         if "algebra_dimension" in exp:
             assert p.dimension() == exp["algebra_dimension"]
 

@@ -50,7 +50,7 @@ def test_fig8_degree1_family():
     assert len(fam.zero_zero) == 2
     sources = {p.quiver.arrow_name(rho.arrows[0]) for rho, _ in fam.zero_zero}
     assert sources == {"t3->t2", "t3->t4"}
-    assert fam.loop_pairs == ()
+    assert p.loop_pairs == ()
 
 
 def test_fig8_higher_degrees_empty_families():
@@ -65,7 +65,7 @@ def test_complete_incomplete_partition_and_mod3():
     p = presentation_for("fig8")
     for n in range(2, 14):
         fam = rr_sets(p, n)
-        cyclic = [(rho, g) for rho, g in fam.pairs if not g.arrows]
+        cyclic = [(rho, g) for rho, g in p.parallel_pairs(n) if not g.arrows]
         closed = [(rho, g) for rho, g in cyclic
                   if (rho.arrows[-1], rho.arrows[0]) in p.relations]
         assert list(fam.complete) == closed
@@ -145,12 +145,15 @@ def test_minimal_nmax():
 @pytest.mark.parametrize("vertices, ends, nmax, unreached, oracle", [
     (("u", "v", "w", "x"), ((0, 1), (2, 3)), 4, "w", (2, 0, 0, 0, 0)),
     (("a", "b"), (), 3, "b", (2, 0, 0, 0)),
+    ((), (), 3, None, (0, 0, 0, 0)),  # the zero algebra
 ])
 def test_rr_rejects_a_disconnected_quiver(vertices, ends, nmax, unreached, oracle):
     # rr's formulas assume a connected algebra; the oracle sums the components
     arrows = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))
     p = GentlePresentation(Quiver(vertices, arrows))
-    with pytest.raises(ValueError, match="vertex %s is not reachable" % unreached):
+    fault = ("it has no vertices" if unreached is None
+             else "vertex %s is not reachable" % unreached)
+    with pytest.raises(ValueError, match="rr needs a connected quiver: " + fault):
         hh_dims_rr(p, 0, nmax)
     assert hh_dims_oracle(build_complex(p, nmax), 0, nmax).dims == oracle
 
@@ -161,7 +164,7 @@ def two_cycle_presentation():
     at v0 that no relation closes, and v0 is no relation's midpoint, so
     (ab, e_v0) is an empty_incomplete pair, which no surface has."""
     return GentlePresentation(Quiver(("v0", "v1"), (Arrow(0, 0, 1), Arrow(1, 1, 0))),
-                              (), {(0, 1)})
+                              {(0, 1)})
 
 
 def test_rr_counts_the_empty_incomplete_pair_of_the_two_cycle():
@@ -191,12 +194,21 @@ def reference_ap_paths(p, n):
     return sorted(chains, key=lambda c: (len(c.arrows), c.source, c.arrows))
 
 
+def reference_pairs(p, n):
+    return tuple((rho, gamma) for rho in reference_ap_paths(p, n) for gamma in p.basis
+                 if rho.source == gamma.source
+                 and p.path_target(rho) == p.path_target(gamma))
+
+
+def reference_loop_pairs(p):
+    return tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
+                 for a in p.quiver.arrows if a.source == a.target)
+
+
 def reference_rr_sets(p, n):
     arrows, relations = p.quiver.arrows, p.relations
     ap = reference_ap_paths(p, n)
-    pairs = tuple((rho, gamma) for rho in ap for gamma in p.basis
-                  if rho.source == gamma.source
-                  and p.path_target(rho) == p.path_target(gamma))
+    pairs = reference_pairs(p, n)
 
     def into(v):
         return [a.idx for a in arrows if a.target == v]
@@ -211,11 +223,8 @@ def reference_rr_sets(p, n):
         return (all((b, first) in relations for b in into(arrows[first].source))
                 and all((last, b) in relations for b in out_of(arrows[last].target)))
 
-    fields = dict(ap=tuple(ap), pairs=pairs, set_a=(), zero_zero=(),
-                  complete=(), empty_incomplete=(),
-                  loop_pairs=tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
-                                   for a in arrows if a.source == a.target),
-                  gentle_orbits=0)
+    fields = dict(ap=tuple(ap), set_a=(), zero_zero=(), complete=(),
+                  empty_incomplete=(), gentle_orbits=0)
     if n == 0:
         fields["set_a"] = tuple((rho, g) for rho, g in pairs
                                 if g.arrows and fully_annihilated(g))
@@ -255,7 +264,7 @@ def extra_relation_presentation(side, k):
               Arrow(4, k, 4))
     extra = (3, k) if side == "in" else ((k - 1) % 3, 4)
     return GentlePresentation(Quiver(tuple("v%d" % i for i in range(5)), arrows),
-                              [(0, 1, 2)], {(0, 1), (1, 2), (2, 0), extra})
+                              {(0, 1), (1, 2), (2, 0), extra})
 
 
 def brute_force_instances(group):
@@ -304,7 +313,9 @@ def test_cached_zero_paths_match_the_scratch_rebuild(group):
 def test_rr_families_match_the_brute_force_scan(group):
     for name, make in brute_force_instances(group):
         p = make()
+        assert p.loop_pairs == reference_loop_pairs(p), name
         for n in range(TOP + 1):
+            assert p.parallel_pairs(n) == reference_pairs(p, n), (name, n)
             family, reference = rr_sets(p, n), reference_rr_sets(p, n)
             for field in ParallelPairFamily._fields:
                 assert getattr(family, field) == getattr(reference, field), \

@@ -65,7 +65,7 @@ def reference_rr(p, char, nmax):
     coinv = [0] + [coinvariant_dim(p, n, char, families[n]) for n in range(1, nmax + 1)]
     dims = [1 + len(families[0].set_a),
             1 + len(families[1].zero_zero) + len(p.quiver.arrows) - len(p.quiver.vertices)
-            + (len(families[1].loop_pairs) if char == 2 else 0)]
+            + (len(p.loop_pairs) if char == 2 else 0)]
     for n in range(2, nmax + 1):
         a, b = parity_weights(char, n)
         dims.append(len(families[n].zero_zero) + len(families[n].empty_incomplete)
@@ -79,7 +79,7 @@ def chain_presentation(length):
     and never repeat."""
     arrows = tuple(Arrow(i, i, i + 1) for i in range(length))
     return GentlePresentation(Quiver(tuple("v%d" % i for i in range(length + 1)), arrows),
-                              (), {(i, i + 1) for i in range(length - 1)})
+                              {(i, i + 1) for i in range(length - 1)})
 
 
 def four_vertex_presentation(ends, relation):
@@ -88,7 +88,7 @@ def four_vertex_presentation(ends, relation):
     without a period."""
     return GentlePresentation(Quiver(("v0", "v1", "v2", "v3"),
                                      tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))),
-                              (), {relation})
+                              {relation})
 
 
 # the first condition each presentation of the "not periodic" group breaks
@@ -325,7 +325,7 @@ def loop_quivers(count, seed):
         for _ in vertices:
             reached |= {w for a in arrows if {a.source, a.target} & reached
                         for w in (a.source, a.target)}
-        p = GentlePresentation(Quiver(vertices, arrows), (), relations)
+        p = GentlePresentation(Quiver(vertices, arrows), relations)
         if len(reached) < len(vertices) or check_gentle(p):
             continue
         try:
@@ -339,10 +339,10 @@ def loop_quivers(count, seed):
 def test_a_loop_under_its_own_relation_is_its_own_turn():
     # k[a]/(a^2): HH^n is 1 for n >= 1, and 2 in characteristic 2, where
     # the loop adds to HH^1
-    p = GentlePresentation(Quiver(("v",), (Arrow(0, 0, 0),)), (), {(0, 0)})
+    p = GentlePresentation(Quiver(("v",), (Arrow(0, 0, 0),)), {(0, 0)})
     assert p.periodic
     assert p.shift(Path(0, (0, 0))) == Path(0, (0,) * 5) == p.zero_paths(5)[0]
-    assert len(rr_sets(p, 1).loop_pairs) == 1
+    assert len(p.loop_pairs) == 1
     for char, tail in ((0, 1), (2, 2), (3, 1)):
         assert hh_dims_rr(p, char, 14).dims == (2,) + (tail,) * 14
         assert hh_dims_oracle(build_complex(p, 14), char, 14).dims == (2,) + (tail,) * 14
@@ -351,10 +351,10 @@ def test_a_loop_under_its_own_relation_is_its_own_turn():
 def test_presentations_with_loops_agree_and_their_period_is_exact():
     periodic = 0
     for vertices, arrows, relations in loop_quivers(44, seed=0):
-        p, full = (GentlePresentation(Quiver(vertices, arrows), (), relations)
+        p, full = (GentlePresentation(Quiver(vertices, arrows), relations)
                    for _ in range(2))
         full.periodic = False  # the degree-by-degree reference
-        assert p.loops
+        assert p.loop_pairs
         periodic += p.periodic
         for char in (0, 2, 3):
             rr = hh_dims_rr(p, char, 14).dims
@@ -377,7 +377,7 @@ def test_every_oracle_rank_is_a_signed_graph_count(monkeypatch):
                       for d in generate_polygon_triangulations(n)]
     presentations.append(build_quiver(random_polygon(60, 11)))
     for vertices, arrows, relations in loop_quivers(44, seed=0):
-        p, full = (GentlePresentation(Quiver(vertices, arrows), (), relations)
+        p, full = (GentlePresentation(Quiver(vertices, arrows), relations)
                    for _ in range(2))
         full.periodic = False  # every degree built and ranked
         presentations += [p, full]

@@ -79,8 +79,8 @@ def test_every_table_is_a_prefix_of_the_largest_on_quivers(kind):
         pairs = [("two-cycle", two_cycle_presentation(), two_cycle_presentation())]
     else:
         pairs = [("loop quiver %d" % i,
-                  GentlePresentation(Quiver(vertices, arrows), (), relations),
-                  GentlePresentation(Quiver(vertices, arrows), (), relations))
+                  GentlePresentation(Quiver(vertices, arrows), relations),
+                  GentlePresentation(Quiver(vertices, arrows), relations))
                  for i, (vertices, arrows, relations) in enumerate(loop_quivers(10, seed=0))]
     for name, shared, fresh in pairs:
         assert_prefixes(name, quiver_tables, shared, fresh)

@@ -18,6 +18,22 @@ def arrow_names(p):
     return {p.quiver.arrow_name(a.idx) for a in p.quiver.arrows}
 
 
+def relation_cycles(p):
+    """The relation 3-cycles (a, b, c), each listed from its least arrow,
+    walked through the neighbour lists: b is the one relation successor of
+    a, c the one of b, and a the one of c.  Asserts that the relations
+    split into these cycles, each relation lying on exactly one."""
+    cycles = set()
+    for a, nb in enumerate(p.neighbours):
+        for b in nb.rel_after:
+            (c,) = p.neighbours[b].rel_after
+            assert p.neighbours[c].rel_after == (a,) == p.neighbours[b].rel_before
+            cycles.add(min((a, b, c), (b, c, a), (c, a, b)))
+    subpaths = [pair for c0, c1, c2 in cycles for pair in ((c0, c1), (c1, c2), (c2, c0))]
+    assert sorted(subpaths) == sorted(p.relations)
+    return cycles
+
+
 def test_square_disc_quiver():
     p = presentation_for("square-disc")
     assert len(p.quiver.vertices) == 1
@@ -39,7 +55,7 @@ def test_fig8_quiver_matches_figure():
     p = presentation_for("fig8")
     assert len(p.quiver.vertices) == 7
     assert len(p.quiver.arrows) == 11
-    assert len(p.potential_cycles) == 3
+    assert len(relation_cycles(p)) == 3
     assert len(p.relations) == 9
     assert arrow_names(p) == {
         "t1->t5", "t5->t7", "t7->t1",
@@ -51,17 +67,12 @@ def test_fig8_quiver_matches_figure():
 
 def test_fig8_relations_are_cycle_subpaths():
     p = presentation_for("fig8")
-    for c0, c1, c2 in p.potential_cycles:
-        assert (c0, c1) in p.relations
-        assert (c1, c2) in p.relations
-        assert (c2, c0) in p.relations
-    # every relation lies in exactly one potential cycle
-    from collections import Counter
-    count = Counter()
-    for c0, c1, c2 in p.potential_cycles:
-        count.update([(c0, c1), (c1, c2), (c2, c0)])
-    assert set(count) == set(p.relations)
-    assert all(v == 1 for v in count.values())
+    # every relation lies on exactly one relation 3-cycle, an oriented
+    # 3-cycle of the quiver
+    arrows = p.quiver.arrows
+    for cycle in relation_cycles(p):
+        for here, after in zip(cycle, cycle[1:] + cycle[:1]):
+            assert arrows[here].target == arrows[after].source
 
 
 def test_torus_quivers():
@@ -69,7 +80,7 @@ def test_torus_quivers():
         p = presentation_for(name)
         assert len(p.quiver.vertices) == 12
         assert len(p.quiver.arrows) == 18
-        assert len(p.potential_cycles) == 4
+        assert len(relation_cycles(p)) == 4
         assert len(p.relations) == 12
         assert check_gentle(p) == []
 
@@ -187,7 +198,7 @@ def isolated_vertex_presentation():
     # w has no arrow; the loop at v is under its own relation
     return GentlePresentation(
         Quiver(("u", "v", "w"), (Arrow(0, 0, 1), Arrow(1, 1, 1), Arrow(2, 1, 0))),
-        (), {(0, 1), (1, 1)})
+        {(0, 1), (1, 1)})
 
 
 @pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS + (
@@ -198,7 +209,7 @@ def test_neighbour_table_matches_the_scan_over_all_arrow_pairs(group):
                      for name in VIOLATING]
     elif group == "loop quivers":
         instances = [("loop quiver %d" % i,
-                      lambda q=q: GentlePresentation(Quiver(q[0], q[1]), (), q[2]))
+                      lambda q=q: GentlePresentation(Quiver(q[0], q[1]), q[2]))
                      for i, q in enumerate(loop_quivers(44, seed=0))]
     elif group == "isolated vertex":
         instances = [("isolated vertex", isolated_vertex_presentation)]
@@ -211,7 +222,8 @@ def test_neighbour_table_matches_the_scan_over_all_arrow_pairs(group):
         assert p._isolated == {v for v in range(len(p.quiver.vertices))
                                if all(v not in (a.source, a.target)
                                       for a in p.quiver.arrows)}, name
-        for a in p.loops:  # a loop is its own neighbour before and after
+        for a in (a for a in p.quiver.arrows if a.source == a.target):
+            # a loop is its own neighbour before and after
             nb = p.neighbours[a.idx]
             both = ((nb.rel_before, nb.rel_after) if (a.idx, a.idx) in p.relations
                     else (nb.free_before, nb.free_after))
@@ -356,10 +368,13 @@ THREE_CYCLE = Quiver(("u", "v", "w"), (Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 
                  r"relations \[\(0, 1, 2\)\] are not", id="not-a-pair"),
     pytest.param(THREE_CYCLE, {(0, 2)},
                  r"relations \[\(0, 2\)\] are not", id="not-composable"),
+    # a 3-cycle of arrow ids that are not the quiver's
+    pytest.param(THREE_CYCLE, [(7, 8, 9)],
+                 r"relations \[\(7, 8, 9\)\] are not", id="foreign-cycle"),
 ])
 def test_ids_outside_the_quiver_rejected(quiver, relations, message):
     with pytest.raises(ValueError, match=message):
-        GentlePresentation(quiver, relations=relations)
+        GentlePresentation(quiver, relations)
 
 
 def test_arrow_ids_out_of_position_rejected():

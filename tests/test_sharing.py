@@ -176,7 +176,6 @@ def test_levels_are_shared_tuples():
             assert complex_.bases[n] is p.parallel_pairs(n), (surface.name, n)
             family = rr_sets(p, n)
             assert family.ap and family.ap is p.zero_paths(n), (surface.name, n)
-            assert family.pairs is p.parallel_pairs(n), (surface.name, n)
         assert sum(map(bool, complex_.bases)) >= 7
         assert all(type(rows) is tuple for rows in complex_.differentials[1:])
         adjacency = list(p.quiver.outgoing.values()) + list(p.quiver.incoming.values())

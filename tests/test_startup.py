@@ -1,6 +1,7 @@
 """The command line as a user starts it: a fresh interpreter running
 ``python -m gentlehh`` with the sources on PYTHONPATH."""
 
+import ast
 import contextlib
 import io
 import json
@@ -11,7 +12,8 @@ import sys
 
 from gentlehh import cli
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 FIXTURE = str(SRC / "gentlehh" / "data" / "torus_t1.json")
 
 
@@ -38,3 +40,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                      "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml sets requires-python >= 3.10; the grammar of a newer
+    # release (except*, PEP 695 generics, ...) is a SyntaxError here
+    files = sorted(path for folder in ("src", "tests", "demos")
+                   for path in (ROOT / folder).rglob("*.py"))
+    assert len(files) > 30
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
