@@ -10,7 +10,7 @@ and G4 and may be infinite dimensional.
 import random
 
 import pytest
-from test_pairs import reference_ap_paths, two_cycle_presentation
+from test_pairs import reference_ap_paths, reference_loop_pairs, two_cycle_presentation
 from test_periodicity import loop_quivers, reference_complex
 from test_quiver import random_small_presentation
 
@@ -129,8 +129,7 @@ def test_one_pass_rr_families_equal_the_predicate_filters(group):
     for name, p, top in corpus(group):
         if finite_basis(p) is None:
             continue
-        assert p.loop_pairs == tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
-                                     for a in p.quiver.arrows if a.source == a.target), name
+        assert p.loop_pairs == reference_loop_pairs(p), name
         seen["loop_pairs"] += bool(p.loop_pairs)
         for n in range(top + 1):
             family, reference = rr_sets(p, n), filtered_rr_sets(p, n)

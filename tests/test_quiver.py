@@ -222,8 +222,8 @@ def test_neighbour_table_matches_the_scan_over_all_arrow_pairs(group):
         assert p._isolated == {v for v in range(len(p.quiver.vertices))
                                if all(v not in (a.source, a.target)
                                       for a in p.quiver.arrows)}, name
-        for a in (a for a in p.quiver.arrows if a.source == a.target):
-            # a loop is its own neighbour before and after
+        loops = [a for a in p.quiver.arrows if a.source == a.target]
+        for a in loops:  # a loop is its own neighbour before and after
             nb = p.neighbours[a.idx]
             both = ((nb.rel_before, nb.rel_after) if (a.idx, a.idx) in p.relations
                     else (nb.free_before, nb.free_after))
