@@ -5,8 +5,9 @@
     gentlehh ag-compare FILE1 FILE2 [--nmax N] [--char C]
     gentlehh generate --polygon N --out DIR
 
-Exit codes: 0 success, 2 invalid input (an out-of-range argument, or a
-parse or validation failure), 3 cross-method disagreement.
+Exit codes: 0 success, 1 the output could not be written (its reader
+closed the pipe; nothing is printed), 2 invalid input (an out-of-range
+argument, or a parse or validation failure), 3 cross-method disagreement.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .quiver import GentlenessViolation, InfiniteDimensionalError
 from .surface import SurfaceError, build_surface
 
 EXIT_OK = 0
+EXIT_WRITE = 1
 EXIT_INVALID = 2
 EXIT_DISAGREE = 3
 
@@ -41,8 +43,7 @@ def _parser():
     analyze.add_argument("file")
     analyze.add_argument("--nmax", type=int, default=13)
     analyze.add_argument("--char", type=int, default=0)
-    analyze.add_argument("--method", default="all",
-                         choices=("geometric", "rr", "oracle", "ladkani", "all"))
+    analyze.add_argument("--method", default="all", choices=report.METHODS + ("all",))
     analyze.add_argument("--format", default="text", choices=("text", "json"))
 
     crosscheck = sub.add_parser(
@@ -181,9 +182,10 @@ def cmd_generate(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command.  A bad argument or input exits 2 with one
-    ``error:`` line; any other exception is a bug and propagates.  The
-    command runs with the cyclic garbage collector paused, which is
-    enabled again on return only if it was enabled on entry."""
+    ``error:`` line, and output to a closed pipe exits 1 with none; any
+    other exception is a bug and propagates.  The command runs with the
+    cyclic garbage collector paused, which is enabled again on return
+    only if it was enabled on entry."""
     args = _parser().parse_args(argv)
     handler = {
         "analyze": cmd_analyze,
@@ -203,6 +205,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return handler(args)
+    except BrokenPipeError:
+        # the reader of stdout went away: not an input error, and nothing
+        # to say; run() keeps the flush at exit quiet too
+        return EXIT_WRITE
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
@@ -211,5 +217,21 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run():
+    """The command line of a fresh interpreter: main() on sys.argv, then
+    the exit.  Output to a closed pipe exits 1 without a word, and so does
+    any output that only the last flush fails to write; only here, as the
+    process ends, is file descriptor 1 touched."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # the interpreter flushes stdout once more at exit: point it at
+        # devnull, so that flush cannot fail and print to stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_WRITE
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

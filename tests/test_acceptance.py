@@ -16,6 +16,7 @@ they break the identity.
 
 import time
 
+import catalogue
 import pytest
 
 import gentlehh as g
@@ -42,11 +43,7 @@ def check(failures, condition, message):
 
 @pytest.fixture(scope="module")
 def corpus():
-    instances = [(fx.name, g.build_surface(fx.data)) for fx in g.builtin_fixtures()]
-    for n in range(4, 10):
-        for data in g.generate_polygon_triangulations(n):
-            instances.append((data.name, g.build_surface(data)))
-    return instances
+    return [(d.name, g.build_surface(d)) for d in catalogue.corpus(range(4, 10), data=True)]
 
 
 @pytest.fixture(scope="module")

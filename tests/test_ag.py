@@ -1,14 +1,11 @@
 import pytest
+from catalogue import corpus, surface_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentlehh import (AGInvariant, ag_invariant, build_quiver, compare_ag,
-                      fixture_by_name, hh_dims_geometric, hh_dims_ladkani, psi)
+from gentlehh import (AGInvariant, ag_invariant, build_quiver, compare_ag, hh_dims_geometric,
+                      hh_dims_ladkani, psi)
 from gentlehh.pairs import parity_weights
-
-
-def surface_for(name):
-    return fixture_by_name(name).surface
 
 
 def test_fig8_invariant():
@@ -39,8 +36,7 @@ def test_psi_divisor_sum():
 
 
 def test_ladkani_matches_geometric_on_fixtures():
-    for name in ("square-disc", "annulus(1,1)", "fig8", "torus-T1", "torus-T2"):
-        s = surface_for(name)
+    for s in corpus(()):
         p = build_quiver(s)
         inv = ag_invariant(s)
         for char in (0, 2):
@@ -83,8 +79,7 @@ def test_compare_fig8_vs_torus():
 
 def test_invariant_identities_on_fixtures():
     from gentlehh import classify_boundaries, internal_triangles
-    for name in ("square-disc", "annulus(1,1)", "fig8", "torus-T1", "torus-T2"):
-        s = surface_for(name)
+    for s in corpus(()):
         inv = ag_invariant(s)
         profiles = classify_boundaries(s)
         b0 = sum(1 for p in profiles if p.type_tag == "type0")
@@ -102,12 +97,7 @@ def test_invariant_identities_on_fixtures():
 def test_no_pairs_one_n_with_n_at_least_two_on_corpus():
     # a component whose single arc-incident point sees m >= 2 fully incident
     # segments cannot exist; checked exhaustively on discs and fixtures
-    from gentlehh import build_surface, generate_polygon_triangulations
-    surfaces = [surface_for(n) for n in ("square-disc", "annulus(1,1)",
-                                         "fig8", "torus-T1", "torus-T2")]
-    for n in range(4, 8):
-        surfaces += [build_surface(t) for t in generate_polygon_triangulations(n)]
-    for s in surfaces:
+    for s in corpus(range(4, 8)):
         inv = ag_invariant(s)
         assert all(not (pair[0] == 1 and pair[1] >= 2)
                    for pair, _ in inv.support)

@@ -1,14 +1,13 @@
 import collections
-import copy
 import json
 import random
 import re
 import time
 
 import pytest
+from catalogue import mutate, polygons
 
-from gentlehh import (builtin_fixtures, cli, fileformat, fixture_by_name,
-                      generate_polygon_triangulations)
+from gentlehh import builtin_fixtures, cli, fileformat, fixture_by_name
 from gentlehh.pairs import HHTable
 from gentlehh.report import METHODS, SurfaceSummary, analyze
 
@@ -168,9 +167,8 @@ def test_crosscheck_builds_each_polygon_just_before_its_analyses(monkeypatch, ca
     # built just before its two analyses
     expected = [("build", name) for name in fixtures]
     expected += [call for name in fixtures for call in analyses(name)]
-    for n in (4, 5):
-        for data in generate_polygon_triangulations(n):
-            expected += [("build", data.name)] + analyses(data.name)
+    for data in polygons((4, 5)):
+        expected += [("build", data.name)] + analyses(data.name)
     assert calls == expected
 
 
@@ -358,34 +356,6 @@ def test_ag_compare_runs_only_the_geometric_method(fixture_file, capsys, monkeyp
         "  AG invariant: (0, 3): 4; (2, 2): 1; (4, 4): 1\n"
         "  HH dims (char 0): [1, 7, 0, 0, 0, 0, 4, 4, 0, 0, 0, 0, 4, 4]\n"
         "AG invariants differ at (3, 3): 2 vs 0 -> not derived equivalent\n")
-
-
-def mutate(doc, rng):
-    """Apply one to three random edits to a copy of a triangulation
-    document: drop a side, duplicate one side over another, relabel a side
-    (to a label in use or a fresh one), or swap the kind of a side or of
-    every side with its label."""
-    doc = copy.deepcopy(doc)
-    triangles = doc["triangles"]
-    labels = sorted({side["label"] for tri in triangles for side in tri})
-    for _ in range(rng.randint(1, 3)):
-        tri = rng.choice(triangles)
-        if not tri:
-            continue
-        side = tri[rng.randrange(len(tri))]
-        edit = rng.choices(("drop", "duplicate", "relabel", "swap kind"), (1, 2, 4, 3))[0]
-        if edit == "drop":
-            tri.remove(side)
-        elif edit == "duplicate":
-            side.update(rng.choice([s for t in triangles for s in t]))
-        elif edit == "relabel":
-            side["label"] = rng.choice(labels + ["fresh%d" % rng.randrange(3)])
-        else:
-            kind = "arc" if side["kind"] == "boundary" else "boundary"
-            for other in ([side] if rng.random() < 0.5 else
-                          [s for t in triangles for s in t if s["label"] == side["label"]]):
-                other["kind"] = kind
-    return doc
 
 
 def test_mutated_fixture_documents_exit_cleanly(tmp_path, capsys):

@@ -1,21 +1,16 @@
 import random
-from itertools import combinations, permutations
 
 import pytest
+from catalogue import (chain_presentation, corpus, presentation_for, random_polygon,
+                       replaced)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import dense_of, minors, signed_graph_rows
 
-from gentlehh import (build_complex, build_quiver, build_surface,
-                      fixture_by_name, hh_dims_oracle, internal_triangles,
-                      verify_complex_property)
+from gentlehh import build_complex, hh_dims_oracle, internal_triangles, verify_complex_property
 from gentlehh import linalg
-from gentlehh.fileformat import parse_triangulation
 from gentlehh.linalg import nullity, rank
 from gentlehh.report import compute_tables
-
-
-def presentation_for(name):
-    return build_quiver(fixture_by_name(name).surface)
 
 
 def test_rank_over_rationals():
@@ -38,27 +33,6 @@ def test_rank_depends_on_characteristic():
 def test_rank_rejects_composite_characteristic():
     with pytest.raises(ValueError):
         rank([((0, 1),)], 6)
-
-
-def minor(dense, rows, cols):
-    """The integer determinant of a square submatrix, expanded over all
-    permutations."""
-    total = 0
-    for perm in permutations(range(len(rows))):
-        inversions = sum(1 for i, j in combinations(range(len(perm)), 2)
-                         if perm[i] > perm[j])
-        term = -1 if inversions % 2 else 1
-        for i, j in enumerate(perm):
-            term *= dense[rows[i]][cols[j]]
-        total += term
-    return total
-
-
-def minors(dense, k):
-    """Every k x k minor of the matrix."""
-    n_rows, n_cols = len(dense), len(dense[0]) if dense else 0
-    return (minor(dense, rows, cols) for rows in combinations(range(n_rows), k)
-            for cols in combinations(range(n_cols), k))
 
 
 def reference_rank(dense, char):
@@ -88,46 +62,6 @@ def products(height, inner, width):
 def test_sparse_rank_matches_brute_force(dense, char):
     rows = [tuple((j, x) for j, x in enumerate(row) if x) for row in dense]
     assert rank(rows, char) == reference_rank(dense, char)
-
-
-def dense_of(rows, n_cols):
-    dense = [[0] * n_cols for _ in rows]
-    for r, entries in enumerate(rows):
-        for col, value in entries:
-            dense[r][col] = value
-    return dense
-
-
-@st.composite
-def signed_graph_rows(draw, extra=(), oracle=False):
-    """Rows of a signed-graph incidence matrix on 2 to 4 columns: edges
-    of equal or opposite values, a cycle of them with random signs (so
-    balanced and unbalanced cycles both occur), half-edges of value +-1
-    and 2, empty rows and explicit zero entries, in random order; ``extra``
-    adds row strategies of other shapes.  With ``oracle`` only the shapes
-    a differential of the oracle has: edges of values +-1 and half-edges of
-    values +-1 and +-2."""
-    n_cols = draw(st.integers(2, 4))
-    col = st.integers(0, n_cols - 1)
-    value = st.sampled_from((1, -1) if oracle else (1, -1, 2, -2, 3))
-    half = (1, -1, 2, -2) if oracle else (1, -1, 2, 0)
-    zero = (False,) if oracle else (False,) * 5 + (True,)
-
-    def edge(ends, a, same, zero):
-        (i, j), b = ends, 0 if zero else (a if same else -a)
-        return ((i, a), (j, b))
-
-    two_cols = st.lists(col, min_size=2, max_size=2, unique=True)
-    row = st.one_of(
-        st.just(()),
-        st.tuples(st.tuples(col, st.sampled_from(half))),
-        st.builds(edge, two_cols, value, st.booleans(), st.sampled_from(zero)),
-        *extra)
-    rows = draw(st.lists(row, max_size=5))
-    cycle = draw(st.lists(col, min_size=2, max_size=n_cols, unique=True))
-    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-        rows.append(edge((i, j), draw(value), draw(st.booleans()), False))
-    return draw(st.permutations(rows)), n_cols
 
 
 def oracle_shaped(entries):
@@ -196,7 +130,6 @@ def test_oracle_rejects_an_nmax_the_complex_cannot_serve():
     # without a period the complex serves nmax up to its top degree - 1,
     # each from its first degrees; with one it serves every nmax.  Every
     # surface has a period, so the short complex is the chain quiver's.
-    from test_periodicity import chain_presentation  # it imports this module
     short = build_complex(chain_presentation(4), 3)
     assert short.period == 0 and len(short.bases) == 5
     assert hh_dims_oracle(short, 0, 2).dims == hh_dims_oracle(short, 0, 3).dims[:3]
@@ -325,11 +258,6 @@ def test_hh0_is_the_centre_dimension():
         assert oracle.dims[0] == expected
 
 
-def replaced(levels, i, value):
-    """A copy of the tuple ``levels`` with position i holding ``value``."""
-    return levels[:i] + (value,) + levels[i + 1:]
-
-
 @pytest.mark.parametrize("name", ("fig8", "torus-T1"))
 def test_perturbed_differential_fails_the_complex_check(name):
     complex_ = build_complex(presentation_for(name), 6)
@@ -347,36 +275,9 @@ def test_perturbed_differential_fails_the_complex_check(name):
     verify_complex_property(complex_)
 
 
-
-def random_polygon(n, seed):
-    """A seeded random triangulation of the convex n-gon: the triangle over
-    each base takes a uniformly random apex, then both sides recurse."""
-    rng = random.Random(seed)
-
-    def side(u, w):
-        if w == u + 1 or (u == n - 1 and w == 0):
-            return {"label": "s%d" % u, "kind": "boundary",
-                    "from": "p%d" % u, "to": "p%d" % w}
-        return {"label": "d%d_%d" % (min(u, w), max(u, w)), "kind": "arc",
-                "from": "p%d" % u, "to": "p%d" % w}
-
-    triangles, stack = [], [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo >= 2:
-            apex = rng.randrange(lo + 1, hi)
-            triangles.append([side(lo, apex), side(apex, hi), side(hi, lo)])
-            stack += [(lo, apex), (apex, hi)]
-    return build_surface(parse_triangulation(
-        {"name": "%d-gon-s%d" % (n, seed), "triangles": triangles}))
-
-
 @pytest.mark.parametrize("char", (3, 5))
 def test_four_way_agreement_at_odd_primes(char):
-    surfaces = [fixture_by_name(name).surface
-                for name in ("square-disc", "annulus(1,1)", "fig8",
-                             "torus-T1", "torus-T2")]
-    surfaces.append(random_polygon(60, 11))
+    surfaces = corpus(()) + [random_polygon(60, 11)]
     assert len(internal_triangles(surfaces[-1])) > 0
     for surface in surfaces:
         tables = compute_tables(surface, char, 13)

@@ -11,11 +11,10 @@ import io
 import pathlib
 
 import pytest
+from catalogue import random_polygon
 
 from gentlehh import cli, fileformat
 from gentlehh.surface import TriangulationInput
-
-from test_cochain import random_polygon
 
 DATA = pathlib.Path(cli.__file__).resolve().parent / "data"
 FIXTURE_FILES = sorted(str(path) for path in DATA.glob("*.json"))

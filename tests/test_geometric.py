@@ -1,14 +1,9 @@
 import pytest
+from catalogue import corpus, surface_for
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentlehh import (build_quiver, build_surface, builtin_fixtures,
-                      fixture_by_name, generate_polygon_triangulations,
-                      hh1_remark, hh_dims_geometric, internal_triangles)
-
-
-def surface_for(name):
-    return fixture_by_name(name).surface
+from gentlehh import build_quiver, hh1_remark, hh_dims_geometric, internal_triangles
 
 
 def test_fig8_char0():
@@ -56,11 +51,7 @@ def test_hh1_remark_values():
 
 
 def test_hh1_remark_equals_quiver_expression():
-    instances = [fixture_by_name(n).surface
-                 for n in ("square-disc", "annulus(1,1)", "fig8",
-                           "torus-T1", "torus-T2")]
-    instances += [build_surface(t) for t in generate_polygon_triangulations(6)]
-    for s in instances:
+    for s in corpus(range(6, 7)):
         p = build_quiver(s)
         from gentlehh import classify_boundaries
         b1 = sum(1 for pr in classify_boundaries(s) if pr.type_tag == "type1")
@@ -75,8 +66,7 @@ def test_nmax_validation():
 
 
 # the fixtures and the 8-gons: 0 to 4 internal triangles
-SURFACES = ([f.surface for f in builtin_fixtures()]
-            + [build_surface(t) for t in generate_polygon_triangulations(8)])
+SURFACES = corpus(range(8, 9))
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,11 +10,11 @@ coefficient theorem gives dim_F2 HH^n = dim_Q HH^n + t_n + t_{n+1}, t_n the
 
 from math import gcd
 
+from catalogue import corpus
 from hypothesis import given, settings
-from test_cochain import dense_of, minors, signed_graph_rows
+from references import dense_of, minors, signed_graph_rows
 
-from gentlehh import (build_complex, build_quiver, build_surface, builtin_fixtures,
-                      generate_polygon_triangulations, hh_dims_oracle, hh_dims_rr,
+from gentlehh import (build_complex, build_quiver, hh_dims_oracle, hh_dims_rr,
                       internal_triangles, linalg)
 from gentlehh.cochain import PERIOD_START
 from gentlehh.report import compute_tables
@@ -60,16 +60,11 @@ def test_unit_torsion_and_linked_full_components():
         assert linalg.signed_form(rows) == (len(divisors), divisors.count(2))
 
 
-def fixtures_and_polygons(top):
-    found = [(f.name, f.surface) for f in builtin_fixtures()]
-    return found + [(d.name, build_surface(d)) for n in range(4, top + 1)
-                    for d in generate_polygon_triangulations(n)]
-
-
 def test_torsion_is_int_in_degrees_4_mod_6_and_gives_the_char_2_tables():
-    surfaces = fixtures_and_polygons(9)
+    surfaces = corpus(range(4, 10))
     assert len(surfaces) == 5 + 624
-    for name, surface in surfaces:
+    for surface in surfaces:
+        name = surface.name
         p = build_quiver(surface)
         complex_ = build_complex(p, 13)
         forms, period = complex_.forms, complex_.period
@@ -86,7 +81,8 @@ def test_torsion_is_int_in_degrees_4_mod_6_and_gives_the_char_2_tables():
 
 
 def test_the_largest_accepted_prime_gives_the_rational_tables():
-    for name, surface in fixtures_and_polygons(8):
+    for surface in corpus(range(4, 9)):
+        name = surface.name
         rational = compute_tables(surface, 0, 13)
         large = compute_tables(surface, LARGEST_PRIME, 13)
         assert len(large) == 4

@@ -20,8 +20,9 @@ pairs in the order of the boundary labels, so they compare as a multiset.
 
 import random
 
-from gentlehh import (Triangle, ag_invariant, build_quiver, build_surface,
-                      builtin_fixtures, generate_polygon_triangulations)
+from catalogue import corpus
+
+from gentlehh import Triangle, ag_invariant, build_quiver, build_surface
 from gentlehh.report import compute_tables, summarize
 
 CHARS = (0, 2, 3, 5)
@@ -51,12 +52,6 @@ def opposite(arrows, relations):
             sorted((target, middle, source) for source, middle, target in relations))
 
 
-def inputs():
-    found = [f.data for f in builtin_fixtures()]
-    found += [d for n in range(4, 10) for d in generate_polygon_triangulations(n)]
-    return found
-
-
 def analysis(surface):
     """Labelled quiver, the tables at every characteristic and the AG
     invariant of one surface, its presentation built once."""
@@ -67,7 +62,7 @@ def analysis(surface):
 
 
 def test_the_opposite_algebra_has_the_same_tables_and_invariant():
-    found = inputs()
+    found = corpus(range(4, 10), data=True)
     assert len(found) == 5 + 624
     for data in found:
         quiver, (q0, q1), tables, invariant = analysis(build_surface(data))
@@ -106,8 +101,7 @@ def census(surface):
 
 def test_a_relabelled_triangulation_has_the_same_tables_invariant_and_census():
     rng = random.Random(20261020)
-    found = [f.data for f in builtin_fixtures()]
-    found += [d for n in range(4, 9) for d in generate_polygon_triangulations(n)]
+    found = corpus(range(4, 9), data=True)
     assert len(found) == 5 + 195
     for data in found:
         relabelled, label = relabel(data, rng)

@@ -2,50 +2,33 @@
 one pass per degree, against references that sort, scan or filter afresh.
 
 The corpora: the fixtures, every triangulation of the 4- to 8-gons, the
-seeded loop quivers of test_periodicity with the 2-cycle of test_pairs,
-all gentle, and the random presentations of test_quiver, which break G3
-and G4 and may be infinite dimensional.
+seeded loop quivers with the 2-cycle, all gentle, and the random
+presentations, which break G3 and G4 and may be infinite dimensional.
 """
 
-import random
-
 import pytest
-from test_pairs import reference_ap_paths, reference_loop_pairs, two_cycle_presentation
-from test_periodicity import loop_quivers, reference_complex
-from test_quiver import random_small_presentation
+from catalogue import instances
+from references import (reference_ap_paths, reference_complex, reference_loop_pairs,
+                        reference_pairs, reference_rr_sets)
 
-from gentlehh import (GentlePresentation, InfiniteDimensionalError,
-                      ParallelPairFamily, Path, Quiver, build_complex,
-                      build_quiver, build_surface, builtin_fixtures,
-                      generate_polygon_triangulations, rr_sets)
+from gentlehh import InfiniteDimensionalError, ParallelPairFamily, Path, build_complex, rr_sets
 from gentlehh import quiver as quiver_module
-from gentlehh.pairs import _orbits
 
-CORPORA = ("fixtures", "polygons 4..8", "loop quivers", "random presentations")
+# the instance groups of each corpus, and its top degree: without G3 a
+# level of n arrows can hold 8 * 3^(n - 1) chains
+CORPORA = {"fixtures": (("fixtures",), 12), "polygons 4..8": (("polygons 4..8",), 12),
+           "loop quivers": (("loop quivers", "two-cycle"), 12),
+           "random presentations": (("random presentations",), 6)}
 
 
 def corpus(group):
-    """(name, fresh presentation, top degree) for one group."""
-    if group == "fixtures":
-        return [(f.name, build_quiver(f.surface._replace()), 12) for f in builtin_fixtures()]
-    if group == "polygons 4..8":
-        return [(d.name, build_quiver(build_surface(d)), 12)
-                for n in range(4, 9) for d in generate_polygon_triangulations(n)]
-    if group == "loop quivers":
-        return [("loop quiver %d" % i, GentlePresentation(Quiver(v, a), r), 12)
-                for i, (v, a, r) in enumerate(loop_quivers(44, seed=0))] + [
-                    ("two-cycle", two_cycle_presentation(), 12)]
-    # without G3 a level of n arrows can hold 8 * 3^(n - 1) chains
-    rng = random.Random(20261019)
-    return [("random %d" % i, random_small_presentation(rng), 6) for i in range(300)]
+    """(name, fresh presentation, top degree) for one corpus."""
+    groups, top = CORPORA[group]
+    return [(name, make(), top) for name, make in instances(*groups)]
 
 
 def path_key(path):
     return (len(path.arrows), path.source, path.arrows)
-
-
-def target(p, path):
-    return p.quiver.arrows[path.arrows[-1]].target if path.arrows else path.source
 
 
 def finite_basis(p):
@@ -55,7 +38,7 @@ def finite_basis(p):
         return None
 
 
-@pytest.mark.parametrize("group", CORPORA)
+@pytest.mark.parametrize("group", tuple(CORPORA))
 def test_levels_come_out_in_path_order_without_sorting(group, monkeypatch):
     finite = 0
     for name, p, top in corpus(group):
@@ -77,40 +60,11 @@ def test_levels_come_out_in_path_order_without_sorting(group, monkeypatch):
         assert list(basis) == sorted(basis, key=path_key), name
         scan = {}
         for gamma in basis:
-            scan.setdefault((gamma.source, target(p, gamma)), []).append(gamma)
+            scan.setdefault((gamma.source, p.path_target(gamma)), []).append(gamma)
         assert p.parallel == {ends: tuple(paths) for ends, paths in scan.items()}, name
         for n in range(top + 1):
-            pairs = [(rho, gamma) for rho in p.zero_paths(n) for gamma in basis
-                     if (rho.source, target(p, rho)) == (gamma.source, target(p, gamma))]
-            assert list(p.parallel_pairs(n)) == pairs, (name, n)
+            assert p.parallel_pairs(n) == reference_pairs(p, n), (name, n)
     assert finite >= (100 if group == "random presentations" else 5)
-
-
-def filtered_rr_sets(p, n):
-    """The degree-n families as predicate filters over the degree-n pairs,
-    one pass per family."""
-    relations = p.relations
-    pairs = p.parallel_pairs(n)
-    fields = dict(ap=p.zero_paths(n), set_a=(), zero_zero=(), complete=(),
-                  empty_incomplete=(), gentle_orbits=0)
-    if n == 0:
-        fields["set_a"] = tuple((rho, g) for rho, g in pairs
-                                if g.arrows and p.annihilated(g))
-        return ParallelPairFamily(**fields)
-    fields["zero_zero"] = tuple(
-        (rho, g) for rho, g in pairs
-        if (not g.arrows or g.arrows[0] != rho.arrows[0])
-        and (not g.arrows or g.arrows[-1] != rho.arrows[-1])
-        and p.annihilated(g))
-    cyclic = [(rho, g) for rho, g in pairs if not g.arrows]
-    complete = fields["complete"] = tuple(
-        (rho, g) for rho, g in cyclic if (rho.arrows[-1], rho.arrows[0]) in relations)
-    incomplete = tuple(
-        (rho, g) for rho, g in cyclic if (rho.arrows[-1], rho.arrows[0]) not in relations)
-    fields["gentle_orbits"] = len(_orbits(p, (rho for rho, _ in complete)))
-    fields["empty_incomplete"] = tuple(
-        (rho, g) for rho, g in incomplete if rho.source not in p.relation_midpoints)
-    return ParallelPairFamily(**fields)
 
 
 # the families each corpus must reach, counted over its degrees
@@ -123,7 +77,7 @@ EXERCISED = {
 }
 
 
-@pytest.mark.parametrize("group", CORPORA)
+@pytest.mark.parametrize("group", tuple(CORPORA))
 def test_one_pass_rr_families_equal_the_predicate_filters(group):
     seen = dict.fromkeys(("loop_pairs", "complete", "zero_zero", "empty_incomplete"), 0)
     for name, p, top in corpus(group):
@@ -132,7 +86,7 @@ def test_one_pass_rr_families_equal_the_predicate_filters(group):
         assert p.loop_pairs == reference_loop_pairs(p), name
         seen["loop_pairs"] += bool(p.loop_pairs)
         for n in range(top + 1):
-            family, reference = rr_sets(p, n), filtered_rr_sets(p, n)
+            family, reference = rr_sets(p, n), reference_rr_sets(p, n)
             for field in ParallelPairFamily._fields:
                 assert getattr(family, field) == getattr(reference, field), \
                     (name, n, field)
@@ -142,7 +96,7 @@ def test_one_pass_rr_families_equal_the_predicate_filters(group):
     assert all(seen[family] for family in EXERCISED[group]), seen
 
 
-@pytest.mark.parametrize("group", CORPORA)
+@pytest.mark.parametrize("group", tuple(CORPORA))
 def test_complex_rows_equal_the_sorted_entry_dicts(group):
     merged = {0: 0, 2: 0}  # rows whose two terms meet in one column, by sum
     for name, p, top in corpus(group):
@@ -158,7 +112,7 @@ def test_complex_rows_equal_the_sorted_entry_dicts(group):
                 steps = delta.arrows
                 if not (steps and steps[0] == rho.arrows[0] and steps[-1] == rho.arrows[-1]):
                     continue
-                after = target(p, Path(rho.source, rho.arrows[:1]))
+                after = p.path_target(Path(rho.source, rho.arrows[:1]))
                 tail = (Path(after, rho.arrows[1:]), Path(after, steps[1:]))
                 head = (Path(rho.source, rho.arrows[:-1]), Path(rho.source, steps[:-1]))
                 if tail == head:

@@ -1,16 +1,11 @@
 import pytest
-from test_cochain import random_polygon
+from catalogue import instances, presentation_for, two_cycle_presentation
+from references import reference_ap_paths, reference_loop_pairs, reference_pairs, reference_rr_sets
 
-from gentlehh import (Arrow, GentlePresentation, ParallelPairFamily, Path,
-                      Quiver, ap_paths, build_complex, build_quiver, build_surface,
-                      builtin_fixtures, coinvariant_dim, fixture_by_name,
-                      generate_polygon_triangulations, hh_dims_oracle,
-                      hh_dims_rr, rotate, rr_sets)
+from gentlehh import (Arrow, GentlePresentation, ParallelPairFamily, Path, Quiver, ap_paths,
+                      build_complex, coinvariant_dim, hh_dims_oracle, hh_dims_rr, rotate,
+                      rr_sets)
 from gentlehh.linalg import rank
-
-
-def presentation_for(name):
-    return build_quiver(fixture_by_name(name).surface)
 
 
 def test_ap0_and_ap1():
@@ -158,15 +153,6 @@ def test_rr_rejects_a_disconnected_quiver(vertices, ends, nmax, unreached, oracl
     assert hh_dims_oracle(build_complex(p, nmax), 0, nmax).dims == oracle
 
 
-def two_cycle_presentation():
-    """Gentle and finite, with no period: a: v0 -> v1 and b: v1 -> v0
-    under the one relation (a, b).  Its degree-2 zero path ab is a cycle
-    at v0 that no relation closes, and v0 is no relation's midpoint, so
-    (ab, e_v0) is an empty_incomplete pair, which no surface has."""
-    return GentlePresentation(Quiver(("v0", "v1"), (Arrow(0, 0, 1), Arrow(1, 1, 0))),
-                              {(0, 1)})
-
-
 def test_rr_counts_the_empty_incomplete_pair_of_the_two_cycle():
     p = two_cycle_presentation()
     assert p.violations == () and not p.periodic
@@ -180,118 +166,13 @@ def test_rr_counts_the_empty_incomplete_pair_of_the_two_cycle():
             assert hh_dims_oracle(complex_, char, nmax).dims == expected, (char, nmax)
 
 
-# Brute-force references: AP_n rebuilt from scratch for every degree, the
-# pair scan over AP_n x basis, and the orbit count as the number of
-# distinct rotation orbits.
-
-def reference_ap_paths(p, n):
-    if n == 0:
-        return [Path(v, ()) for v in range(len(p.quiver.vertices))]
-    chains = [Path(a.source, (a.idx,)) for a in p.quiver.arrows]
-    for _ in range(n - 1):
-        chains = [Path(c.source, c.arrows + (b.idx,)) for c in chains
-                  for b in p.quiver.arrows if (c.arrows[-1], b.idx) in p.relations]
-    return sorted(chains, key=lambda c: (len(c.arrows), c.source, c.arrows))
-
-
-def reference_pairs(p, n):
-    return tuple((rho, gamma) for rho in reference_ap_paths(p, n) for gamma in p.basis
-                 if rho.source == gamma.source
-                 and p.path_target(rho) == p.path_target(gamma))
-
-
-def reference_loop_pairs(p):
-    return tuple((Path(a.source, (a.idx,)), Path(a.source, ()))
-                 for a in p.quiver.arrows if a.source == a.target)
-
-
-def reference_rr_sets(p, n):
-    arrows, relations = p.quiver.arrows, p.relations
-    ap = reference_ap_paths(p, n)
-    pairs = reference_pairs(p, n)
-
-    def into(v):
-        return [a.idx for a in arrows if a.target == v]
-
-    def out_of(v):
-        return [a.idx for a in arrows if a.source == v]
-
-    def fully_annihilated(gamma):
-        if not gamma.arrows:
-            return not into(gamma.source) and not out_of(gamma.source)
-        first, last = gamma.arrows[0], gamma.arrows[-1]
-        return (all((b, first) in relations for b in into(arrows[first].source))
-                and all((last, b) in relations for b in out_of(arrows[last].target)))
-
-    fields = dict(ap=tuple(ap), set_a=(), zero_zero=(), complete=(),
-                  empty_incomplete=(), gentle_orbits=0)
-    if n == 0:
-        fields["set_a"] = tuple((rho, g) for rho, g in pairs
-                                if g.arrows and fully_annihilated(g))
-        return ParallelPairFamily(**fields)
-    fields["zero_zero"] = tuple(
-        (rho, g) for rho, g in pairs
-        if (not g.arrows or (g.arrows[0] != rho.arrows[0]
-                             and g.arrows[-1] != rho.arrows[-1]))
-        and fully_annihilated(g))
-    cyclic = [(rho, g) for rho, g in pairs if not g.arrows]
-    fields["complete"] = tuple((rho, g) for rho, g in cyclic
-                               if (rho.arrows[-1], rho.arrows[0]) in relations)
-    incomplete = [(rho, g) for rho, g in cyclic
-                  if (rho.arrows[-1], rho.arrows[0]) not in relations]
-
-    def orbit(rho):
-        out = [rho]
-        for _ in range(n - 1):
-            out.append(rotate(p, out[-1]))
-        return out
-
-    fields["gentle_orbits"] = len({frozenset(orbit(rho))
-                                   for rho, _ in fields["complete"]})
-    midpoints = {arrows[a].target for a, _ in relations}
-    fields["empty_incomplete"] = tuple((rho, g) for rho, g in incomplete
-                                       if rho.source not in midpoints)
-    return ParallelPairFamily(**fields)
-
-
-def extra_relation_presentation(side, k):
-    """Not gentle: the 3-cycle 0 -> 1 -> 2 -> 0 of arrows 0, 1, 2 (arrow i
-    leaves vertex i) under its three relations, plus arrows 3 -> k and
-    k -> 4 and one more relation at vertex k, into or out of the cycle,
-    which breaks G3 there.  rr refuses it; the families and the oracle
-    still serve it."""
-    arrows = (Arrow(0, 0, 1), Arrow(1, 1, 2), Arrow(2, 2, 0), Arrow(3, 3, k),
-              Arrow(4, k, 4))
-    extra = (3, k) if side == "in" else ((k - 1) % 3, 4)
-    return GentlePresentation(Quiver(tuple("v%d" % i for i in range(5)), arrows),
-                              {(0, 1), (1, 2), (2, 0), extra})
-
-
-def brute_force_instances(group):
-    """(name, factory of a fresh presentation) for one group of instances."""
-    if group == "fixtures":
-        surfaces = [(f.name, f.surface) for f in builtin_fixtures()]
-    elif group == "polygons 4..8":
-        surfaces = [(d.name, build_surface(d)) for n in range(4, 9)
-                    for d in generate_polygon_triangulations(n)]
-    elif group == "60-gon":
-        surfaces = [("60-gon", random_polygon(60, 11))]
-    else:
-        return [("%s at v%d" % (side, k),
-                 lambda side=side, k=k: extra_relation_presentation(side, k))
-                for side in ("in", "out") for k in (0, 1)]
-    # an equal copy of the surface, so build_quiver cannot hand back the
-    # presentation of the previous call
-    return [(name, lambda s=s: build_quiver(s._replace())) for name, s in surfaces]
-
-
 BRUTE_FORCE_GROUPS = ("fixtures", "polygons 4..8", "60-gon", "extra relations")
 TOP = 15
 
 
 @pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS)
 def test_cached_zero_paths_match_the_scratch_rebuild(group):
-    for name, make in brute_force_instances(group):
+    for name, make in instances(group):
         ascending, top_first = make(), make()
         assert ascending is not top_first
         assert ap_paths(top_first, TOP) == tuple(reference_ap_paths(ascending, TOP)), name
@@ -311,7 +192,7 @@ def test_cached_zero_paths_match_the_scratch_rebuild(group):
 
 @pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS)
 def test_rr_families_match_the_brute_force_scan(group):
-    for name, make in brute_force_instances(group):
+    for name, make in instances(group):
         p = make()
         assert p.loop_pairs == reference_loop_pairs(p), name
         for n in range(TOP + 1):
@@ -341,7 +222,7 @@ def reference_coinvariant_dim(p, family, char):
 
 @pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS)
 def test_orbit_counts_match_the_rank_and_the_rotation_order(group):
-    for name, make in brute_force_instances(group):
+    for name, make in instances(group):
         p = make()
         for n in range(1, TOP + 1):
             family = rr_sets(p, n)

@@ -11,13 +11,10 @@ keep nothing, and are checked the same way.
 """
 
 import pytest
-from test_pairs import two_cycle_presentation
-from test_periodicity import chain_presentation, loop_quivers
+from catalogue import chain_presentation, corpus, fresh, loop_quivers, two_cycle_presentation
 
-from gentlehh import (GentlePresentation, Quiver, ag_invariant, build_complex,
-                      build_quiver, build_surface, builtin_fixtures,
-                      generate_polygon_triangulations, hh_dims_geometric,
-                      hh_dims_ladkani, hh_dims_oracle, hh_dims_rr)
+from gentlehh import (GentlePresentation, Quiver, ag_invariant, build_complex, build_quiver,
+                      hh_dims_geometric, hh_dims_ladkani, hh_dims_oracle, hh_dims_rr)
 
 TOP = 20
 CHARS = (0, 2, 3)
@@ -52,23 +49,16 @@ def assert_prefixes(name, tables, shared, fresh):
     assert (kept[0] is None) == (kept[1] is None) == (not shared.periodic), name
 
 
-def surfaces():
-    found = [(f.name, f.surface) for f in builtin_fixtures()]
-    found += [(d.name, build_surface(d)) for n in range(4, 8)
-              for d in generate_polygon_triangulations(n)]
-    return found
-
-
 def test_every_table_is_a_prefix_of_the_largest_on_surfaces():
-    found = surfaces()
+    found = corpus(range(4, 8))
     assert len(found) == 5 + 2 + 5 + 14 + 42
-    for name, surface in found:
-        # an equal copy of the surface gets its own presentation
-        fresh = build_quiver(surface._replace())
+    for surface in found:
+        own = fresh(surface)
         shared = build_quiver(surface)
-        assert shared is not fresh
-        assert_prefixes(name, lambda p, char, nmax: surface_tables(surface, p, char, nmax),
-                        shared, fresh)
+        assert shared is not own
+        assert_prefixes(surface.name,
+                        lambda p, char, nmax: surface_tables(surface, p, char, nmax),
+                        shared, own)
 
 
 @pytest.mark.parametrize("kind", ("chain", "two-cycle", "loops"))

@@ -1,17 +1,11 @@
 import random
 
 import pytest
-from test_pairs import BRUTE_FORCE_GROUPS, brute_force_instances
-from test_periodicity import loop_quivers
+from catalogue import (VIOLATING, instances, presentation_for, random_small_presentation,
+                       violating_presentation)
 
-from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError,
-                      Path, Quiver, build_quiver, check_gentle,
-                      enumerate_basis, fixture_by_name)
-from gentlehh.quiver import Violation
-
-
-def presentation_for(name):
-    return build_quiver(fixture_by_name(name).surface)
+from gentlehh import (Arrow, GentlePresentation, InfiniteDimensionalError, Path, Quiver,
+                      check_gentle, enumerate_basis)
 
 
 def arrow_names(p):
@@ -131,32 +125,6 @@ def test_adjacency_is_the_arrow_scan_in_id_order():
                                                        if a.target == v)
 
 
-# Hand-built presentations that break G1, G3 or G4 on vertices u, v, w, x:
-# (arrows as (source, target), relations, the exact check_gentle report).
-VIOLATING = {
-    "three out of u": (((0, 1), (0, 2), (0, 3)), (), [Violation(
-        "G1", "vertex u has 3 outgoing arrows: ['u->v', 'u->w', 'u->x']")]),
-    "three into x": (((0, 3), (1, 3), (2, 3)), (), [Violation(
-        "G1", "vertex x has 3 incoming arrows: ['u->x', 'v->x', 'w->x']")]),
-    # two relations starting at the same arrow violate G3 ...
-    "two relations after": (((0, 1), (1, 2), (1, 3)), ((0, 1), (0, 2)), [Violation(
-        "G3", "arrow u->v has 2 relations starting with it")]),
-    # ... and with no relations the same shape violates G4
-    "two free after": (((0, 1), (1, 2), (1, 3)), (), [Violation(
-        "G4", "arrow u->v has 2 relation-free extensions on the right")]),
-    "two relations before": (((0, 2), (1, 2), (2, 3)), ((0, 2), (1, 2)), [Violation(
-        "G3", "arrow w->x has 2 relations ending in it")]),
-    "two free before": (((0, 2), (1, 2), (2, 3)), (), [Violation(
-        "G4", "arrow w->x has 2 relation-free extensions on the left")]),
-}
-
-
-def violating_presentation(name):
-    ends, relations, _ = VIOLATING[name]
-    arrows = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))
-    return GentlePresentation(Quiver(("u", "v", "w", "x"), arrows), relations=relations)
-
-
 def test_g1_violation_reported_with_witnesses():
     for name in ("three out of u", "three into x"):
         assert check_gentle(violating_presentation(name)) == VIOLATING[name][2]
@@ -194,28 +162,11 @@ def reference_turns(p):
             and all(starts_one_relation(x) for x in (a, b, c))}
 
 
-def isolated_vertex_presentation():
-    # w has no arrow; the loop at v is under its own relation
-    return GentlePresentation(
-        Quiver(("u", "v", "w"), (Arrow(0, 0, 1), Arrow(1, 1, 1), Arrow(2, 1, 0))),
-        {(0, 1), (1, 1)})
-
-
-@pytest.mark.parametrize("group", BRUTE_FORCE_GROUPS + (
-    "hand-built violations", "loop quivers", "isolated vertex"))
+@pytest.mark.parametrize("group", ("fixtures", "polygons 4..8", "60-gon", "extra relations",
+                                   "hand-built violations", "loop quivers", "isolated vertex"))
 def test_neighbour_table_matches_the_scan_over_all_arrow_pairs(group):
-    if group == "hand-built violations":
-        instances = [(name, lambda name=name: violating_presentation(name))
-                     for name in VIOLATING]
-    elif group == "loop quivers":
-        instances = [("loop quiver %d" % i,
-                      lambda q=q: GentlePresentation(Quiver(q[0], q[1]), q[2]))
-                     for i, q in enumerate(loop_quivers(44, seed=0))]
-    elif group == "isolated vertex":
-        instances = [("isolated vertex", isolated_vertex_presentation)]
-    else:
-        instances = brute_force_instances(group)
-    for name, make in instances:
+    made = instances(group)
+    for name, make in made:
         p = make()
         assert p.neighbours == reference_neighbours(p), name
         assert p._turns == reference_turns(p), name
@@ -231,7 +182,7 @@ def test_neighbour_table_matches_the_scan_over_all_arrow_pairs(group):
     if group == "isolated vertex":
         assert p._isolated == {2} and p._turns == {1: (1, 1, 1)}
     if group in ("fixtures", "loop quivers"):
-        assert any(make()._turns for _, make in instances)
+        assert any(make()._turns for _, make in made)
 
 
 def test_relation_free_cycle_is_infinite_dimensional():
@@ -239,24 +190,6 @@ def test_relation_free_cycle_is_infinite_dimensional():
                     arrows=(Arrow(0, 0, 1), Arrow(1, 1, 0)))
     with pytest.raises(InfiniteDimensionalError):
         enumerate_basis(GentlePresentation(quiver))
-
-
-def random_small_presentation(rng):
-    """At most 6 vertices and 8 arrows, loops allowed, and a random subset
-    of the composable arrow pairs as relations.  At most three arrows leave
-    a vertex: without G4 a basis level grows as the out-degree to the power
-    of its length, and the levels up to |Q1| + 1 = 9 arrows stay small."""
-    vertices = tuple("v%d" % i for i in range(rng.randint(1, 6)))
-    ends = []
-    for _ in range(rng.randint(1, 8)):
-        source = rng.randrange(len(vertices))
-        if sum(s == source for s, _ in ends) < 3:
-            ends.append((source, rng.randrange(len(vertices))))
-    arrows = tuple(Arrow(i, s, t) for i, (s, t) in enumerate(ends))
-    density = rng.random()
-    relations = {(a.idx, b.idx) for a in arrows for b in arrows
-                 if a.target == b.source and rng.random() < density}
-    return GentlePresentation(Quiver(vertices, arrows), relations=relations)
 
 
 def free_successors(p):

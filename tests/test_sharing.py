@@ -14,8 +14,8 @@ nmax needs.
 import gc
 import weakref
 
-from test_periodicity import (chain_presentation, reference_complex, reference_oracle,
-                              reference_rr)
+from catalogue import chain_presentation, fresh
+from references import reference_complex, reference_oracle, reference_rr
 
 from gentlehh import (build_complex, build_quiver, build_surface, cli, fixture_by_name,
                       generate_polygon_triangulations, hh_dims_oracle, hh_dims_rr,
@@ -69,15 +69,15 @@ def served_in_order(monkeypatch, order):
     # checks that the first build serves all of them, built, checked and
     # formed once, with the rr period enumerated once
     surface = fixture_by_name("torus-T1").surface
-    expected = {(nmax, char): (hh_dims_oracle(build_complex(fresh, nmax), char, nmax),
-                               hh_dims_rr(fresh, char, nmax))
+    expected = {(nmax, char): (hh_dims_oracle(build_complex(own, nmax), char, nmax),
+                               hh_dims_rr(own, char, nmax))
                 for nmax in order for char in (0, 2, 3)
-                for fresh in [build_quiver(surface._replace())]}
+                for own in [fresh(surface)]}
     checks = counting(monkeypatch, cochain_module, "verify_complex_property")
     periods = counting(monkeypatch, cochain_module, "verify_period")
     forms = counting(monkeypatch, cochain_module, "signed_form")
     families = counting(monkeypatch, pairs_module, "rr_sets")
-    p = build_quiver(surface._replace())
+    p = fresh(surface)
     kept = build_complex(p, order[0])
     for nmax in order:
         assert build_complex(p, nmax) is kept is p.complex, nmax
@@ -110,7 +110,7 @@ def test_one_kept_complex_serves_every_smaller_nmax(monkeypatch):
     # torus-T1 repeats, so even nmax 1 builds the periodic complex and
     # enumerates the rr period, and each first build is the object every
     # later nmax and characteristic gets back
-    p = build_quiver(fixture_by_name("torus-T1").surface._replace())
+    p = fresh(fixture_by_name("torus-T1").surface)
     families = counting(monkeypatch, pairs_module, "rr_sets")
     first = build_complex(p, 1)
     assert first.period and len(first.bases) == 10

@@ -50,3 +50,39 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(files) > 30
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_test_modules_import_only_helper_modules():
+    # shared instances and references come from helper modules, which
+    # pytest does not collect, and never from another test module
+    tests = ROOT / "tests"
+    local, helpers = {path.stem for path in tests.glob("*.py")}, set()
+    for path in sorted(tests.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            imported = {name.split(".")[0] for name in names} & local
+            assert not any(name.startswith("test_") for name in imported), path.name
+            helpers |= imported
+    assert helpers and not any(name.startswith("test_") or name.endswith("_test")
+                               for name in helpers), helpers
+
+
+def test_a_closed_output_pipe_exits_1_in_silence(tmp_path):
+    # buffered, the write fails partway through crosscheck or at the flush
+    # on exit; unbuffered, at the first print.  A missing input still exits 2.
+    runs = ((["crosscheck", "fixtures", "--polygons", "4..8"], 1), (["analyze", FIXTURE], 1),
+            (["generate", "--polygon", "5", "--out", str(tmp_path)], 1),
+            (["analyze", str(tmp_path / "absent.json")], 2))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for buffering in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv, code in runs:
+            read, write = os.pipe()
+            os.close(read)
+            with os.fdopen(write, "wb") as stdout:
+                proc = subprocess.run([sys.executable, "-m", "gentlehh", *argv], stdout=stdout,
+                                      stderr=subprocess.PIPE, text=True, timeout=120,
+                                      env=dict(env, PYTHONPATH=str(SRC), **buffering))
+            errors = proc.stderr.splitlines()
+            assert (proc.returncode, len(errors)) == (code, code - 1), (argv, buffering, errors)
+            assert all(line.startswith("error: ") for line in errors), errors

@@ -1,6 +1,7 @@
 import collections
 
 import pytest
+from catalogue import corpus, mutate, random_polygon
 
 from gentlehh import (CornerInconsistency, DisconnectedSurface,
                       NonManifoldGluing, OrientationMismatch, Side, Triangle,
@@ -188,11 +189,7 @@ def test_rebuild_from_serialized_form_is_identity():
 
 
 def test_census_is_computed_once_and_kept_immutable():
-    from gentlehh import builtin_fixtures, generate_polygon_triangulations
-    surfaces = [fx.surface for fx in builtin_fixtures()]
-    surfaces += [build_surface(d) for n in range(4, 8)
-                 for d in generate_polygon_triangulations(n)]
-    for s in surfaces:
+    for s in corpus(range(4, 8)):
         kinds = [[side.kind for side in t.sides] for t in s.triangles]
         incident = {p for t in s.triangles for side in t.sides if side.kind == "arc"
                     for p in (side.src, side.dst)}
@@ -243,13 +240,9 @@ def test_boundary_data_matches_a_scan_of_the_sides(monkeypatch):
     import random
 
     import gentlehh.surface as surface_module
-    from test_cli import mutate
-    from test_cochain import random_polygon
+    from gentlehh import SurfaceError, fileformat
 
-    from gentlehh import (SurfaceError, builtin_fixtures, fileformat,
-                          generate_polygon_triangulations)
-
-    fixtures = builtin_fixtures()  # loading validates them: not recorded below
+    inputs = corpus(range(4, 9), data=True)  # loading validates the fixtures: not recorded below
     fans_read, leaving_read = [], []
     profiles = surface_module._boundary_profiles
     boundary_components = surface_module._boundary_components
@@ -264,12 +257,9 @@ def test_boundary_data_matches_a_scan_of_the_sides(monkeypatch):
 
     monkeypatch.setattr(surface_module, "_boundary_profiles", recording_profiles)
     monkeypatch.setattr(surface_module, "_boundary_components", recording_components)
-    surfaces = [build_surface(fx.data) for fx in fixtures]
-    surfaces += [build_surface(d) for n in range(4, 9)
-                 for d in generate_polygon_triangulations(n)]
-    surfaces.append(random_polygon(60, 11))
+    surfaces = [build_surface(d) for d in inputs] + [random_polygon(60, 11)]
     rng = random.Random(5)
-    documents = [fileformat.as_document(fx.data) for fx in fixtures]
+    documents = [fileformat.as_document(d) for d in inputs[:5]]  # the fixtures
     mutants = 0
     for _ in range(1000):
         try:
@@ -340,10 +330,9 @@ def edited_triangulation(data, rng):
 def test_edited_triangulations_build_or_raise_a_surface_error():
     import random
 
-    from gentlehh import SurfaceError, builtin_fixtures, generate_polygon_triangulations
+    from gentlehh import SurfaceError
 
-    inputs = [fx.data for fx in builtin_fixtures()]
-    inputs += [d for n in range(4, 9) for d in generate_polygon_triangulations(n)]
+    inputs = corpus(range(4, 9), data=True)
     rng = random.Random(16)
     outcomes = collections.Counter()
     for _ in range(3000):
